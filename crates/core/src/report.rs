@@ -9,6 +9,7 @@ use crate::synthesis::{SynthesisResult, SynthesisStats};
 use ccs_obs::json::Value;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::time::Duration;
 
 /// Schema identifier of the [`topology_json`] document.
 pub const TOPOLOGY_SCHEMA: &str = "ccs-topology-v1";
@@ -252,44 +253,42 @@ pub fn selection_summary(
 }
 
 /// Renders the "where did the time go" table: per-phase wall-clock
-/// share of the run, followed by the run's per-phase counters.
+/// share of the run and, for the executor phases, summed worker CPU
+/// time, followed by the run's per-phase counters.
 pub fn phase_table(stats: &SynthesisStats) -> String {
     let mut s = String::new();
-    let total = stats.elapsed.as_secs_f64();
-    let _ = writeln!(s, "{:>12} {:>12} {:>7}", "phase", "wall", "share");
-    let mut accounted = 0.0;
-    for (name, d) in stats.phase_timings.phases() {
-        let secs = d.as_secs_f64();
-        accounted += secs;
-        let share = if total > 0.0 {
-            100.0 * secs / total
-        } else {
+    let _ = writeln!(
+        s,
+        "{:>12} {:>12} {:>7} {:>12}",
+        "phase", "wall", "share", "cpu"
+    );
+    let total = stats.elapsed;
+    let share = |d: Duration| {
+        if total.is_zero() {
             0.0
-        };
-        let _ = writeln!(s, "{:>12} {:>12} {:>6.1}%", name, format!("{d:.2?}"), share);
+        } else {
+            100.0 * d.as_secs_f64() / total.as_secs_f64()
+        }
+    };
+    let mut row = |name: &str, wall: Duration, cpu: Option<Duration>| {
+        let cpu = cpu.map_or_else(|| "-".to_string(), |c| format!("{c:.2?}"));
+        let _ = writeln!(
+            s,
+            "{:>12} {:>12} {:>6.1}% {:>12}",
+            name,
+            format!("{wall:.2?}"),
+            share(wall),
+            cpu
+        );
+    };
+    for p in &stats.phases {
+        row(p.name, p.wall, p.cpu);
     }
     // Phase boundaries exclude argument checking and stats assembly;
     // show the remainder so the shares visibly sum to 100%.
-    let other = std::time::Duration::from_secs_f64((total - accounted).max(0.0));
-    let share = if total > 0.0 {
-        100.0 * other.as_secs_f64() / total
-    } else {
-        0.0
-    };
-    let _ = writeln!(
-        s,
-        "{:>12} {:>12} {:>6.1}%",
-        "other",
-        format!("{other:.2?}"),
-        share
-    );
-    let _ = writeln!(
-        s,
-        "{:>12} {:>12} {:>6.1}%",
-        "total",
-        format!("{:.2?}", stats.elapsed),
-        100.0
-    );
+    let accounted: Duration = stats.phases.iter().map(|p| p.wall).sum();
+    row("other", total.saturating_sub(accounted), None);
+    row("total", total, None);
     if !stats.counters.is_empty() {
         let _ = writeln!(s, "  counters:");
         for (name, value) in &stats.counters {
@@ -374,6 +373,7 @@ mod tests {
         ] {
             assert!(t.contains(name), "missing {name} in:\n{t}");
         }
+        assert!(t.contains("cpu"), "{t}");
         assert!(t.contains("counters:"), "{t}");
         assert!(t.contains("merging.k2.examined"), "{t}");
     }

@@ -33,9 +33,10 @@ use crate::units::Bandwidth;
 use ccs_exec::{CancelToken, ExecStats, Executor};
 use ccs_geom::Point2;
 use ccs_obs::ledger::{self, Cause, DecisionEvent};
+use ccs_obs::PhaseRecord;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Tunable knobs of the pipeline. The default reproduces the paper.
 #[derive(Debug, Clone, Default)]
@@ -88,69 +89,6 @@ impl PartialEq for SynthesisConfig {
     }
 }
 
-/// Wall-clock time spent in each pipeline phase of one synthesis run.
-///
-/// The same durations are reported to the global [`ccs_obs`] recorder
-/// as spans named `matrices`, `p2p`, `merging`, `placement`,
-/// `covering`, `assembly`, and `total`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PhaseTimings {
-    /// Γ/Δ matrix computation.
-    pub matrices: Duration,
-    /// Optimum point-to-point candidates for every arc.
-    pub p2p: Duration,
-    /// Merge-candidate enumeration (pruning theorems).
-    pub merging: Duration,
-    /// Hub placement and exact costing of surviving merge subsets.
-    pub placement: Duration,
-    /// Weighted unate covering.
-    pub covering: Duration,
-    /// Implementation-graph assembly.
-    pub assembly: Duration,
-}
-
-impl PhaseTimings {
-    /// The phases in pipeline order, with their span names.
-    pub fn phases(&self) -> [(&'static str, Duration); 6] {
-        [
-            ("p2p", self.p2p),
-            ("matrices", self.matrices),
-            ("merging", self.merging),
-            ("placement", self.placement),
-            ("covering", self.covering),
-            ("assembly", self.assembly),
-        ]
-    }
-}
-
-/// Summed per-worker CPU time of the parallelized phases (the
-/// [`ExecStats::busy`] totals of their sweeps).
-///
-/// Compare against the matching [`PhaseTimings`] wall clocks: with `N`
-/// busy workers, CPU time approaches `N ×` wall time. Reported to
-/// [`ccs_obs`] as the spans `p2p.cpu`, `merging.cpu`, and
-/// `placement.cpu`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct PhaseCpuTimings {
-    /// Point-to-point candidate sweep.
-    pub p2p: Duration,
-    /// Merge-enumeration extension/prune sweeps.
-    pub merging: Duration,
-    /// Hub placement sweep over surviving subsets.
-    pub placement: Duration,
-}
-
-impl PhaseCpuTimings {
-    /// The parallel phases in pipeline order, with their span names.
-    pub fn phases(&self) -> [(&'static str, Duration); 3] {
-        [
-            ("p2p.cpu", self.p2p),
-            ("merging.cpu", self.merging),
-            ("placement.cpu", self.placement),
-        ]
-    }
-}
-
 /// Statistics collected during one synthesis run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SynthesisStats {
@@ -180,12 +118,14 @@ pub struct SynthesisStats {
     pub ucp_rows: usize,
     /// Exact-solver statistics, when the exact solver ran.
     pub ucp_stats: Option<ccs_covering::SolveStats>,
-    /// Wall-clock time of the run.
+    /// Wall-clock time of the run (its `total` span).
     pub elapsed: Duration,
-    /// Per-phase wall-clock breakdown of `elapsed`.
-    pub phase_timings: PhaseTimings,
-    /// Summed per-worker CPU time of the parallelized phases.
-    pub phase_cpu: PhaseCpuTimings,
+    /// The six pipeline phases in execution order (`p2p`, `matrices`,
+    /// `merging`, `placement`, `covering`, `assembly`), each with its
+    /// wall time and — for the four executor phases — summed worker
+    /// CPU time. The same figures reach the [`ccs_obs`] recorder as
+    /// the spans `<phase>` and `<phase>.cpu`.
+    pub phases: Vec<PhaseRecord>,
     /// Worker threads used by the parallel phases (resolved, ≥ 1).
     pub threads: usize,
     /// Named per-phase counters (same names as the [`ccs_obs`] counter
@@ -294,13 +234,13 @@ impl<'a> Synthesizer<'a> {
         mut session: Option<&mut SessionState>,
     ) -> Result<SynthesisResult, SynthesisError> {
         let warm = session.is_some();
-        let start = Instant::now();
-        // The whole run profiles as one `synthesize` tree; each phase
-        // below opens a child scope (dropped at phase end so siblings
-        // never nest). Allocation deltas bracket the same regions.
-        let profile_run = ccs_obs::profile::scope("synthesize");
-        let mut timings = PhaseTimings::default();
-        let mut cpu = PhaseCpuTimings::default();
+        // The whole run is the `total` span and profiles as one
+        // `synthesize` tree. Each phase below is one `ccs_obs::phase`
+        // guard, finished at phase end so siblings never nest; an early
+        // return or unwind closes whatever is open, so a failed run
+        // still reports the phases it entered.
+        let run = ccs_obs::run_phase("total", "synthesize");
+        let mut phases = Vec::with_capacity(6);
         let graph = self.graph;
         let library = self.library;
         let exec = Executor::new(self.config.threads);
@@ -321,9 +261,7 @@ impl<'a> Synthesizer<'a> {
         // sweep fans out per arc; folding the slot-ordered results keeps
         // the accumulated p2p cost and the first reported error
         // identical to a serial loop.
-        let t = Instant::now();
-        let alloc0 = ccs_obs::alloc::stats();
-        let profile_phase = ccs_obs::profile::scope("p2p");
+        let mut phase = ccs_obs::phase("p2p");
         let arc_idxs: Vec<usize> = (0..graph.arc_count()).collect();
         let (p2p_results, p2p_exec) = {
             let cached: Option<&[Option<Candidate>]> = session
@@ -340,6 +278,7 @@ impl<'a> Synthesizer<'a> {
                 point_to_point_candidate(graph, library, i).map(|c| (c, false))
             })
         };
+        phase.add_cpu(p2p_exec.busy);
         let mut candidates: Vec<Candidate> = Vec::with_capacity(p2p_results.len());
         let mut p2p_cost = 0.0;
         let mut p2p_reused = 0u64;
@@ -349,11 +288,8 @@ impl<'a> Synthesizer<'a> {
             p2p_reused += u64::from(reused);
             candidates.push(c);
         }
-        drop(profile_phase);
-        phase_alloc_counters("p2p", &alloc0);
+        phases.push(phase.finish());
         ccs_obs::counter("p2p.candidates", candidates.len() as u64);
-        timings.p2p = t.elapsed();
-        cpu.p2p = p2p_exec.busy;
 
         if cancel.is_cancelled() {
             return Err(SynthesisError::Cancelled);
@@ -361,22 +297,14 @@ impl<'a> Synthesizer<'a> {
 
         // Phase 1b: merge candidates — Γ/Δ matrices, pruned enumeration,
         // then hub placement and exact costing of every survivor.
-        let t = Instant::now();
-        let alloc0 = ccs_obs::alloc::stats();
-        let profile_phase = ccs_obs::profile::scope("matrices");
+        let phase = ccs_obs::phase("matrices");
         let matrices = DistanceMatrices::compute(graph);
-        drop(profile_phase);
-        phase_alloc_counters("matrices", &alloc0);
-        timings.matrices = t.elapsed();
+        phases.push(phase.finish());
 
-        let t = Instant::now();
-        let alloc0 = ccs_obs::alloc::stats();
-        let profile_phase = ccs_obs::profile::scope("merging");
+        let mut phase = ccs_obs::phase("merging");
         let enumeration = enumerate_with(graph, library, &matrices, &self.config.merge, &exec);
-        drop(profile_phase);
-        phase_alloc_counters("merging", &alloc0);
-        timings.merging = t.elapsed();
-        cpu.merging = enumeration.stats.exec.busy;
+        phase.add_cpu(enumeration.stats.exec.busy);
+        phases.push(phase.finish());
         if cancel.is_cancelled() {
             return Err(SynthesisError::Cancelled);
         }
@@ -386,9 +314,7 @@ impl<'a> Synthesizer<'a> {
         // workers. Infeasibility/dominance accounting folds the ordered
         // results serially, so counts and kept candidates match a
         // serial run exactly.
-        let t = Instant::now();
-        let alloc0 = ccs_obs::alloc::stats();
-        let profile_phase = ccs_obs::profile::scope("placement");
+        let mut phase = ccs_obs::phase("placement");
         let subsets: Vec<&Vec<usize>> = enumeration.all_subsets().collect();
         let cache: Arc<PlacementCache> = self
             .config
@@ -431,6 +357,7 @@ impl<'a> Synthesizer<'a> {
                 merge_candidate_explained(graph, library, s, cache).map(Placed::Done)
             })
         };
+        phase.add_cpu(placement_exec.busy);
         let ledger_on = ledger::enabled();
         let subset_arcs = |s: &[usize]| -> Vec<u32> { s.iter().map(|&i| i as u32).collect() };
         let mut infeasible = 0usize;
@@ -556,10 +483,7 @@ impl<'a> Synthesizer<'a> {
             u64::from(has_switch)
         };
         let solves_skipped = lb_gated as u64 * solves_per_subset;
-        drop(profile_phase);
-        phase_alloc_counters("placement", &alloc0);
-        timings.placement = t.elapsed();
-        cpu.placement = placement_exec.busy;
+        phases.push(phase.finish());
         ccs_obs::counter("placement.infeasible_merges", infeasible as u64);
         ccs_obs::counter("placement.dominated_dropped", dominated as u64);
         ccs_obs::counter("placement.lb_gated", lb_gated as u64);
@@ -570,9 +494,7 @@ impl<'a> Synthesizer<'a> {
         }
 
         // Phase 2: weighted unate covering.
-        let t = Instant::now();
-        let alloc0 = ccs_obs::alloc::stats();
-        let profile_phase = ccs_obs::profile::scope("covering");
+        let mut phase = ccs_obs::phase("covering");
         // A warm run seeds the exact solver with the previous cover,
         // mapped from arc lists to this run's column indices (arc lists
         // are unique across candidates: p2p columns are singletons in
@@ -599,40 +521,27 @@ impl<'a> Synthesizer<'a> {
             prev_cols.as_deref(),
             &exec,
         )?;
+        // Always handed in (zero when no exact sweep ran), so the
+        // `covering.cpu` span is present for every strategy.
+        phase.add_cpu(outcome.stats.map_or(Duration::ZERO, |s| s.busy));
         let selected: Vec<Candidate> = outcome
             .selected
             .iter()
             .map(|&i| candidates[i].clone())
             .collect();
-        drop(profile_phase);
-        phase_alloc_counters("covering", &alloc0);
-        timings.covering = t.elapsed();
+        phases.push(phase.finish());
 
         // Assemble the architecture.
-        let t = Instant::now();
-        let alloc0 = ccs_obs::alloc::stats();
-        let profile_phase = ccs_obs::profile::scope("assembly");
+        let phase = ccs_obs::phase("assembly");
         let implementation = ImplementationGraph::build(graph, library, &selected);
-        drop(profile_phase);
-        phase_alloc_counters("assembly", &alloc0);
-        timings.assembly = t.elapsed();
-        drop(profile_run);
+        phases.push(phase.finish());
+        let elapsed = run.finish().wall;
 
-        let elapsed = start.elapsed();
         let mut exec_total = ExecStats::default();
         exec_total.merge(&p2p_exec);
         exec_total.merge(&enumeration.stats.exec);
         exec_total.merge(&placement_exec);
-        if ccs_obs::enabled() {
-            for (name, wall) in timings.phases() {
-                ccs_obs::record_span(name, wall);
-            }
-            for (name, busy) in cpu.phases() {
-                ccs_obs::record_span(name, busy);
-            }
-            ccs_obs::record_span("total", elapsed);
-            ccs_obs::gauge("exec.threads", threads as f64);
-        }
+        ccs_obs::gauge("exec.threads", threads as f64);
 
         // Persist this run's state for the next warm re-synthesis. The
         // first `arc_count` candidates are exactly the per-arc p2p
@@ -678,8 +587,7 @@ impl<'a> Synthesizer<'a> {
             ucp_rows: outcome.rows,
             ucp_stats: outcome.stats,
             elapsed,
-            phase_timings: timings,
-            phase_cpu: cpu,
+            phases,
             threads,
         };
         if warm {
@@ -1060,20 +968,6 @@ impl SynthesisSession {
             ccs_obs::counter("resynth.invalidated", invalidated);
         }
         Ok(())
-    }
-}
-
-/// Emits the phase's allocation delta (`alloc.<phase>.allocs` /
-/// `alloc.<phase>.bytes`) to the global recorder. A no-op when no
-/// recorder is installed; zeros when the binary runs without the
-/// counting allocator. These counters are scheduling-dependent (workers
-/// allocate queues and buffers), so they stay out of the deterministic
-/// [`SynthesisStats::counters`] map.
-fn phase_alloc_counters(phase: &str, before: &ccs_obs::alloc::AllocStats) {
-    if ccs_obs::enabled() {
-        let delta = ccs_obs::alloc::stats().delta_since(before);
-        ccs_obs::counter(&format!("alloc.{phase}.allocs"), delta.allocs);
-        ccs_obs::counter(&format!("alloc.{phase}.bytes"), delta.alloc_bytes);
     }
 }
 

@@ -84,11 +84,11 @@ pub struct Cover {
 
 /// Search statistics from the exact solver.
 ///
-/// Every field is identical at every thread count except [`steals`]
-/// and [`dominance_ns`](Self::dominance_ns), which depend on scheduling
-/// and wall clocks; equality (`PartialEq`) compares only the
-/// deterministic fields so outcome comparisons stay meaningful across
-/// executors.
+/// Every field is identical at every thread count except [`steals`],
+/// [`busy`](Self::busy) and [`dominance_ns`](Self::dominance_ns), which
+/// depend on scheduling and wall clocks; equality (`PartialEq`)
+/// compares only the deterministic fields so outcome comparisons stay
+/// meaningful across executors.
 ///
 /// [`steals`]: Self::steals
 #[derive(Debug, Clone, Copy, Default)]
@@ -121,6 +121,9 @@ pub struct SolveStats {
     /// Work-stealing events in the subtree sweep. Schedule-dependent;
     /// ignored by `PartialEq`.
     pub steals: u64,
+    /// Summed worker busy time of the subtree sweep (its
+    /// `ExecStats::busy`). Schedule-dependent; ignored by `PartialEq`.
+    pub busy: std::time::Duration,
     /// Wall-clock nanoseconds spent in the dominance reductions.
     /// Schedule-dependent; ignored by `PartialEq`.
     pub dominance_ns: u64,
@@ -132,9 +135,9 @@ pub struct SolveStats {
 
 impl PartialEq for SolveStats {
     fn eq(&self, other: &Self) -> bool {
-        // `steals` and `dominance_ns` are deliberately left out: they
-        // vary run-to-run, and two solves that explored the same tree
-        // must compare equal.
+        // `steals`, `busy` and `dominance_ns` are deliberately left
+        // out: they vary run-to-run, and two solves that explored the
+        // same tree must compare equal.
         self.nodes == other.nodes
             && self.essentials == other.essentials
             && self.dominated_columns == other.dominated_columns
@@ -294,7 +297,8 @@ impl CoverMatrix {
     /// [`solve_exact`](Self::solve_exact) with the subtree sweep run on
     /// `exec`. The cover (and every deterministic [`SolveStats`] field)
     /// is byte-identical at every thread count; only wall clock, the
-    /// [`steals`](SolveStats::steals) counter, and
+    /// [`steals`](SolveStats::steals) counter, the
+    /// [`busy`](SolveStats::busy) time and
     /// [`dominance_ns`](SolveStats::dominance_ns) vary.
     ///
     /// # Errors
@@ -481,6 +485,7 @@ impl CoverMatrix {
                 self.run_subtree(frame, budgets[i], &start, seed_bound, Some(&shared))
             });
             stats.steals = exec_stats.steals;
+            stats.busy = exec_stats.busy;
 
             // Final cost is an order-free min over whatever ran, so it
             // is the same value under any schedule (skipped tasks
@@ -1395,6 +1400,24 @@ mod tests {
         assert_eq!(c.cost, 2.0);
         assert!(stats.essentials >= 1);
         assert!(stats.nodes >= 1);
+    }
+
+    #[test]
+    fn subtree_sweep_reports_busy_time_that_equality_ignores() {
+        // A ring of pair columns with uneven weights: no essentials,
+        // no dominance, and the root bound does not close the gap, so
+        // the root expands into subtree tasks.
+        let mut m = CoverMatrix::new(6);
+        for r in 0..6 {
+            m.add_column(1.0 + (r % 3) as f64 * 0.1, [r, (r + 1) % 6]);
+        }
+        let (c, stats) = m.solve_exact_with_stats().unwrap();
+        assert_eq!(c.columns.len(), 3);
+        assert!(stats.subtrees > 0, "{stats:?}");
+        assert!(stats.busy > std::time::Duration::ZERO, "{stats:?}");
+        let mut other = stats;
+        other.busy += std::time::Duration::from_secs(1);
+        assert_eq!(other, stats);
     }
 
     #[test]

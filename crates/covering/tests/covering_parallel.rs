@@ -5,7 +5,8 @@
 //! thread count — seeded or unseeded, full-budget or anytime. These
 //! properties drive random matrices through executors of 1, 2, and 4
 //! workers and require bit-for-bit agreement; scheduling may only show
-//! in `steals`/`dominance_ns`, which `SolveStats`' equality ignores.
+//! in `steals`/`busy`/`dominance_ns`, which `SolveStats`' equality
+//! ignores.
 
 use ccs_covering::{CoverMatrix, SolveStats};
 use ccs_exec::Executor;

@@ -148,7 +148,7 @@ pub fn analyze(
     cfg: &ResilienceConfig,
     exec: &Executor,
 ) -> ResilienceReport {
-    let _span = ccs_obs::span("resilience.sweep");
+    let _phase = ccs_obs::phase("resilience.sweep");
     let group_count = imp.group_count();
     let arc_count = graph.arc_count();
 
@@ -322,7 +322,7 @@ pub fn cost_resilience_frontier(
     result: &SynthesisResult,
     exec: &Executor,
 ) -> Result<Vec<FrontierPoint>, SynthesisError> {
-    let _span = ccs_obs::span("resilience.frontier");
+    let _phase = ccs_obs::phase("resilience.frontier");
     let cfg = ResilienceConfig::default(); // N-1 only: frontier points compare like-for-like
     let baseline_cost = result.total_cost();
     let merge_order = |c: &Candidate| c.arcs.len();

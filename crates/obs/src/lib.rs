@@ -3,15 +3,18 @@
 //! The design follows the `log` crate: a process-global recorder is
 //! installed (or not) by the application, and instrumented code emits
 //! [`Event`]s through free functions. When no recorder is installed the
-//! hot path is a single relaxed atomic load — no clock reads, no
-//! allocation, no locking — so library code can stay instrumented
-//! unconditionally.
+//! hot path is a single relaxed atomic load — no allocation, no
+//! locking — so library code can stay instrumented unconditionally.
 //!
 //! Three building blocks cover the pipeline's needs:
 //!
-//! - [`span`] returns an RAII [`Span`] that reports its wall-clock
-//!   duration on drop (phase timings: `matrices`, `p2p`, `merging`,
-//!   `placement`, `covering`, `assembly`, `total`);
+//! - [`phase`] returns an RAII [`Phase`] guard, the one instrument per
+//!   pipeline phase (`p2p`, `matrices`, `merging`, `placement`,
+//!   `covering`, `assembly`; [`run_phase`] opens the run-level
+//!   `total`). On close it reports wall time, allocation deltas and
+//!   executor CPU time, and it profiles itself as a scope of the same
+//!   name. Its two clock reads are the only unconditional cost: the
+//!   pipeline reports phase wall times with or without a recorder;
 //! - [`counter`] accumulates monotone totals (subsets examined, prune
 //!   hits, branch-and-bound nodes, ...);
 //! - [`gauge`] records a last-write-wins measurement (convergence
@@ -45,7 +48,7 @@ use std::collections::BTreeMap;
 use std::io::{BufWriter, Write as _};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use json::Value;
 
@@ -54,7 +57,8 @@ use json::Value;
 /// Names borrow from the call site; recorders copy what they keep.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Event<'a> {
-    /// A [`Span`] finished after `wall_ns` nanoseconds.
+    /// A [`Phase`] (or its `<name>.cpu` companion) finished after
+    /// `wall_ns` nanoseconds.
     SpanEnd {
         /// Span name (a pipeline phase such as `"merging"`).
         name: &'a str,
@@ -141,48 +145,121 @@ pub fn gauge(name: &str, value: f64) {
     }
 }
 
-/// Reports an already-measured span duration (for code that times a
-/// phase itself and wants the measurement in both places). A no-op when
-/// disabled.
+/// Opens the pipeline phase `name`; it closes when the returned guard
+/// drops — normally, on an early return, or during unwind — or
+/// explicitly via [`Phase::finish`].
+///
+/// The guard reads the clock at open and at close (always: callers
+/// report phase wall time without a recorder), and profiles its extent
+/// as the [`profile::scope`] `name`. When a recorder is listening it
+/// also brackets the phase's allocations and, at close, emits
+/// [`Event::SpanEnd`] `name`, the counters `alloc.<name>.allocs` /
+/// `alloc.<name>.bytes`, and — if executor busy time was handed to it
+/// via [`Phase::add_cpu`] — a `<name>.cpu` span. When nothing listens
+/// there is no dispatch and no allocation read.
 #[inline]
-pub fn record_span(name: &str, wall: std::time::Duration) {
-    if enabled() {
-        let wall_ns = u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX);
-        dispatch(&Event::SpanEnd { name, wall_ns });
-    }
+#[must_use = "a phase measures until it is dropped"]
+pub fn phase(name: &'static str) -> Phase {
+    Phase::open(name, name, true)
 }
 
-/// Starts a wall-clock span; the elapsed time is reported when the
-/// returned guard drops. When disabled the clock is never read.
+/// The run-level form of [`phase`]: emits the span `name` but profiles
+/// as `profile_root` (the tree every phase of the run nests under) and
+/// emits no allocation counters, since the phases inside already
+/// partition the run's allocations.
 #[inline]
-#[must_use = "a span measures until it is dropped"]
-pub fn span(name: &'static str) -> Span {
-    Span {
-        name,
-        start: enabled().then(Instant::now),
-    }
+#[must_use = "a phase measures until it is dropped"]
+pub fn run_phase(name: &'static str, profile_root: &'static str) -> Phase {
+    Phase::open(name, profile_root, false)
 }
 
-/// RAII guard created by [`span`]; emits [`Event::SpanEnd`] on drop.
+/// RAII guard created by [`phase`] / [`run_phase`].
 #[derive(Debug)]
-pub struct Span {
+pub struct Phase {
     name: &'static str,
-    start: Option<Instant>,
+    start: Instant,
+    alloc0: Option<alloc::AllocStats>,
+    /// `Some` while the phase is open; taken by the close.
+    profile: Option<profile::ProfileScope>,
+    cpu: Option<Duration>,
 }
 
-impl Drop for Span {
-    fn drop(&mut self) {
-        if let Some(start) = self.start {
-            let wall_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            // Re-check: the recorder may have been cleared mid-span.
-            if enabled() {
+/// What one closed [`Phase`] measured.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PhaseRecord {
+    /// Phase name (the span name).
+    pub name: &'static str,
+    /// Wall-clock time from open to close.
+    pub wall: Duration,
+    /// Summed executor busy time handed in via [`Phase::add_cpu`];
+    /// `None` for phases that ran no executor sweep.
+    pub cpu: Option<Duration>,
+}
+
+impl Phase {
+    fn open(name: &'static str, profile_name: &'static str, alloc: bool) -> Phase {
+        let start = Instant::now();
+        let alloc0 = (alloc && enabled()).then(alloc::stats);
+        Phase {
+            name,
+            start,
+            alloc0,
+            profile: Some(profile::scope(profile_name)),
+            cpu: None,
+        }
+    }
+
+    /// Adds executor busy time (an `ExecStats::busy` total) to the
+    /// phase's `<name>.cpu` span.
+    pub fn add_cpu(&mut self, busy: Duration) {
+        *self.cpu.get_or_insert(Duration::ZERO) += busy;
+    }
+
+    /// Closes the phase now and returns what it measured.
+    pub fn finish(mut self) -> PhaseRecord {
+        self.close()
+    }
+
+    fn close(&mut self) -> PhaseRecord {
+        drop(self.profile.take());
+        let wall = self.start.elapsed();
+        // Re-check: the recorder may have been installed or cleared
+        // mid-phase.
+        if enabled() {
+            if let Some(before) = self.alloc0 {
+                let delta = alloc::stats().delta_since(&before);
+                counter(&format!("alloc.{}.allocs", self.name), delta.allocs);
+                counter(&format!("alloc.{}.bytes", self.name), delta.alloc_bytes);
+            }
+            dispatch(&Event::SpanEnd {
+                name: self.name,
+                wall_ns: nanos(wall),
+            });
+            if let Some(cpu) = self.cpu {
                 dispatch(&Event::SpanEnd {
-                    name: self.name,
-                    wall_ns,
+                    name: &format!("{}.cpu", self.name),
+                    wall_ns: nanos(cpu),
                 });
             }
         }
+        PhaseRecord {
+            name: self.name,
+            wall,
+            cpu: self.cpu,
+        }
     }
+}
+
+impl Drop for Phase {
+    fn drop(&mut self) {
+        if self.profile.is_some() {
+            self.close();
+        }
+    }
+}
+
+fn nanos(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// Aggregate of one span name across all its executions.
@@ -424,23 +501,29 @@ impl Record for Fanout {
 mod tests {
     use super::*;
 
-    // The recorder is process-global; tests that install one must not
-    // interleave.
+    // The recorder and the profiler are process-global; tests that
+    // install either (here and in `profile`) must not interleave.
     static GLOBAL: Mutex<()> = Mutex::new(());
 
-    fn exclusive() -> std::sync::MutexGuard<'static, ()> {
+    pub(crate) fn exclusive() -> std::sync::MutexGuard<'static, ()> {
         GLOBAL.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     #[test]
-    fn disabled_recorder_drops_events_and_reads_no_clock() {
+    fn disabled_phase_dispatches_nothing_and_reads_no_alloc_or_profile() {
         let _guard = exclusive();
         clear_recorder();
         assert!(!enabled());
-        // Spans skip the Instant entirely when disabled...
-        let s = span("idle");
-        assert!(s.start.is_none());
-        drop(s);
+        assert!(!profile::is_active());
+        // A phase still times itself (callers report wall time without
+        // a recorder) but skips the allocation read and profile push...
+        let mut p = phase("idle");
+        assert!(p.alloc0.is_none());
+        assert!(p.profile.as_ref().is_some_and(|s| s.start.is_none()));
+        p.add_cpu(Duration::from_nanos(3));
+        let record = p.finish();
+        assert_eq!(record.name, "idle");
+        assert_eq!(record.cpu, Some(Duration::from_nanos(3)));
         // ...and counters/gauges are plain early returns.
         counter("nobody.listening", 7);
         gauge("nobody.listening", 1.0);
@@ -459,22 +542,25 @@ mod tests {
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 scope.spawn(|| {
+                    let mut p = phase("worker");
                     for _ in 0..1000 {
                         counter("shared.total", 1);
                     }
                     counter("shared.batches", 1);
+                    p.add_cpu(Duration::from_nanos(10));
                 });
             }
         });
-        {
-            let _span = span("scoped");
-        }
         gauge("final.value", 2.5);
         clear_recorder();
         let m = collector.snapshot();
         assert_eq!(m.counters["shared.total"], 4000);
         assert_eq!(m.counters["shared.batches"], 4);
-        assert_eq!(m.spans["scoped"].calls, 1);
+        assert_eq!(m.spans["worker"].calls, 4);
+        assert_eq!(m.spans["worker.cpu"].calls, 4);
+        assert_eq!(m.spans["worker.cpu"].total_ns, 40);
+        assert!(m.counters.contains_key("alloc.worker.allocs"));
+        assert!(m.counters.contains_key("alloc.worker.bytes"));
         assert_eq!(m.gauges["final.value"], 2.5);
     }
 
@@ -528,21 +614,28 @@ mod tests {
         set_recorder(JsonLinesRecorder::new(Box::new(Shared(buffer.clone()))));
         counter("c", 3);
         gauge("g", -0.5);
-        {
-            let _s = span("s");
-        }
+        phase("s").add_cpu(Duration::from_nanos(5));
         clear_recorder();
 
         let bytes = buffer.lock().unwrap().clone();
         let text = String::from_utf8(bytes).expect("utf-8");
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 3);
-        let first = json::parse(lines[0]).expect("valid JSON line");
-        assert_eq!(first.get("type").and_then(Value::as_str), Some("counter"));
-        assert_eq!(first.get("delta").and_then(Value::as_num), Some(3.0));
-        let last = json::parse(lines[2]).expect("valid JSON line");
-        assert_eq!(last.get("type").and_then(Value::as_str), Some("span_end"));
-        assert!(last.get("wall_ns").and_then(Value::as_num).is_some());
+        let lines: Vec<Value> = text
+            .lines()
+            .map(|l| json::parse(l).expect("valid JSON line"))
+            .collect();
+        let field = |i: usize, key: &str| lines[i].get(key).and_then(Value::as_str);
+        // counter, gauge, then the phase: its alloc counters, its span
+        // and its CPU span.
+        assert_eq!(lines.len(), 6, "{text}");
+        assert_eq!(field(0, "type"), Some("counter"));
+        assert_eq!(lines[0].get("delta").and_then(Value::as_num), Some(3.0));
+        assert_eq!(field(2, "name"), Some("alloc.s.allocs"));
+        assert_eq!(field(3, "name"), Some("alloc.s.bytes"));
+        assert_eq!(field(4, "type"), Some("span_end"));
+        assert_eq!(field(4, "name"), Some("s"));
+        assert!(lines[4].get("wall_ns").and_then(Value::as_num).is_some());
+        assert_eq!(field(5, "name"), Some("s.cpu"));
+        assert_eq!(lines[5].get("wall_ns").and_then(Value::as_num), Some(5.0));
     }
 
     #[test]
@@ -583,22 +676,26 @@ mod tests {
     }
 
     #[test]
-    fn span_reports_duration_during_panic_unwind() {
+    fn phase_reports_during_panic_unwind() {
         let _guard = exclusive();
         let collector = Collector::new();
         set_recorder(collector.clone());
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _span = span("doomed_phase");
+            let mut p = phase("doomed_phase");
             counter("work.before_crash", 2);
+            p.add_cpu(Duration::from_nanos(7));
             panic!("phase blew up");
         }));
         assert!(result.is_err());
         clear_recorder();
 
         // The RAII drop ran during unwinding, so the partial metrics
-        // document still carries the phase timing and prior counters.
+        // document still carries the phase timing, its CPU span, its
+        // allocation counters and prior counters.
         let m = collector.snapshot();
         assert_eq!(m.spans["doomed_phase"].calls, 1);
+        assert_eq!(m.spans["doomed_phase.cpu"].total_ns, 7);
+        assert!(m.counters.contains_key("alloc.doomed_phase.allocs"));
         assert_eq!(m.counters["work.before_crash"], 2);
         let doc = m.to_json().to_string();
         let parsed = json::parse(&doc).expect("partial document is valid JSON");
@@ -606,6 +703,33 @@ mod tests {
             .get("phases")
             .and_then(|p| p.get("doomed_phase"))
             .is_some());
+    }
+
+    #[test]
+    fn finished_phase_reports_once_and_nests_under_the_run_profile() {
+        let _guard = exclusive();
+        let collector = Collector::new();
+        set_recorder(collector.clone());
+        profile::start();
+        let run = run_phase("total", "synthesize");
+        let record = phase("step").finish();
+        let total = run.finish();
+        let tree = profile::stop();
+        clear_recorder();
+
+        assert!(record.wall <= total.wall);
+        assert_eq!(record.cpu, None);
+        let m = collector.snapshot();
+        // finish() closed each guard; the later drop emitted nothing.
+        assert_eq!(m.spans["step"].calls, 1);
+        assert_eq!(m.spans["total"].calls, 1);
+        assert!(!m.spans.contains_key("step.cpu"));
+        // The run-level guard profiles as its root and counts no
+        // allocations of its own.
+        assert!(m.counters.contains_key("alloc.step.allocs"));
+        assert!(!m.counters.contains_key("alloc.total.allocs"));
+        assert_eq!(tree.children["synthesize"].children["step"].calls, 1);
+        assert!(!tree.children.contains_key("total"));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Hierarchical wall-clock profiler with deterministic call counts.
 //!
-//! The flat [`span`](crate::span) API answers "how long did phase X
-//! take in total"; this module answers "*where inside* X did the time
+//! The flat [`phase`](crate::phase) guard answers "how long did phase
+//! X take in total"; this module answers "*where inside* X did the time
 //! go, per thread". Instrumented code opens RAII [`scope`]s that nest
 //! into a call tree:
 //!
@@ -316,7 +316,7 @@ fn scope_cow(name: Cow<'static, str>) -> ProfileScope {
 /// contributes to the profile.
 #[derive(Debug)]
 pub struct ProfileScope {
-    start: Option<Instant>,
+    pub(crate) start: Option<Instant>,
 }
 
 impl Drop for ProfileScope {
@@ -415,14 +415,10 @@ fn flush_local() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex as StdMutex;
 
-    // Profiler state is process-global; tests must not interleave.
-    static GLOBAL: StdMutex<()> = StdMutex::new(());
-
-    fn exclusive() -> std::sync::MutexGuard<'static, ()> {
-        GLOBAL.lock().unwrap_or_else(|e| e.into_inner())
-    }
+    // Profiler state is process-global; tests must not interleave
+    // (with each other, nor with the phase tests in the crate root).
+    use crate::tests::exclusive;
 
     #[test]
     fn inactive_scopes_record_nothing() {

@@ -7,7 +7,7 @@
 //! other's metrics and ledgers. A [`RequestObs`] bundles an optional
 //! recorder and an optional ledger for *one* request; a thread
 //! [`enter`]s it and, until the returned guard drops, every counter,
-//! gauge, span and ledger emission on that thread lands in the scope
+//! gauge, phase and ledger emission on that thread lands in the scope
 //! instead of the process globals. `ccs_exec` captures the spawning
 //! thread's scope and re-enters it on every worker, so a scoped
 //! parallel sweep aggregates exactly like a scoped serial one.
@@ -224,7 +224,7 @@ pub(crate) fn merge_scoped(buffer: Ledger) -> Result<(), Ledger> {
 mod tests {
     use super::*;
     use crate::ledger::{self, Cause, DecisionEvent};
-    use crate::{counter, gauge, span, Collector};
+    use crate::{counter, gauge, phase, Collector};
 
     fn ev(arc: u32, cost: f64) -> DecisionEvent {
         DecisionEvent::new(
@@ -245,9 +245,7 @@ mod tests {
             assert!(crate::enabled());
             counter("scoped.hits", 3);
             gauge("scoped.gauge", 1.5);
-            {
-                let _s = span("scoped.phase");
-            }
+            drop(phase("scoped.phase"));
             assert!(ledger::enabled());
             ledger::emit(ev(1, 1.0));
         }

@@ -732,7 +732,7 @@ fn simulate_cmd(f: &Flags) -> Result<String, String> {
         .with_config(configured(f))
         .run()
         .map_err(|e| e.to_string())?;
-    let sim_start = std::time::Instant::now();
+    let phase = ccs_obs::phase("simulate");
     let mut out = String::new();
     if f.packets {
         let cfg = ccs_netsim::packet::PacketSimConfig {
@@ -784,7 +784,7 @@ fn simulate_cmd(f: &Flags) -> Result<String, String> {
             report.max_utilization() * 100.0
         );
     }
-    ccs_obs::record_span("simulate", sim_start.elapsed());
+    drop(phase);
     obs.finish()?;
     Ok(out)
 }

@@ -148,8 +148,46 @@ fn stats_counters_match_metrics_document_without_any_recorder() {
     }
     assert_eq!(r.stats.counters["p2p.candidates"], 8);
     assert_eq!(r.stats.counters["covering.rows"], 8);
-    // Phase timings are populated and bounded by the total.
-    for (name, d) in r.stats.phase_timings.phases() {
-        assert!(d <= r.stats.elapsed, "{name} exceeds elapsed");
+    // Phase timings are populated, in pipeline order, and bounded by
+    // the total; exactly the four executor phases carry CPU time.
+    let names: Vec<&str> = r.stats.phases.iter().map(|p| p.name).collect();
+    assert_eq!(names, PHASES[..6]);
+    for p in &r.stats.phases {
+        assert!(p.wall <= r.stats.elapsed, "{} exceeds elapsed", p.name);
+        let executor = matches!(p.name, "p2p" | "merging" | "placement" | "covering");
+        assert_eq!(p.cpu.is_some(), executor, "{}", p.name);
     }
+}
+
+#[test]
+fn failing_synth_still_reports_the_phases_it_entered() {
+    let _guard = RECORDER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let (inst, _) = wan_files("failing");
+    // Radio links only and no mux/demux: the first arc that needs
+    // duplication fails the p2p phase.
+    let lib = inst.with_file_name("radio-lib.ccs");
+    std::fs::write(
+        &lib,
+        "ccs-library v1\nlink radio 1 inf per-length 2000\nnode repeater 0\n",
+    )
+    .unwrap();
+    let metrics = inst.with_file_name("failing-metrics.json");
+    let err = run(&format!(
+        "synth --instance {} --library {} --metrics-json {}",
+        inst.display(),
+        lib.display(),
+        metrics.display()
+    ))
+    .unwrap_err();
+    assert!(err.contains("mux/demux"), "{err}");
+
+    let text = std::fs::read_to_string(&metrics).unwrap();
+    let doc = ccs::obs::json::parse(&text).expect("partial document is valid JSON");
+    let m = Metrics::from_json(&doc).expect("valid metrics document");
+    // Presence only: a recorder-less run in a parallel test may add to
+    // the same global recorder.
+    for name in ["p2p", "total"] {
+        assert!(m.spans.contains_key(name), "missing phase {name}: {text}");
+    }
+    assert!(m.counters.contains_key("alloc.p2p.allocs"), "{text}");
 }

@@ -99,6 +99,31 @@ fn profile_counts_are_byte_identical_across_thread_counts() {
     let mut rendered = Vec::new();
     for threads in [1, 4] {
         let doc = synth_metrics(&inst, &lib, threads, "det");
+        // One span per phase, plus a CPU span per executor phase.
+        let phases: Vec<&str> = doc
+            .get("phases")
+            .and_then(Value::as_obj)
+            .expect("phases section")
+            .keys()
+            .map(String::as_str)
+            .collect();
+        assert_eq!(
+            phases,
+            [
+                "assembly",
+                "covering",
+                "covering.cpu",
+                "matrices",
+                "merging",
+                "merging.cpu",
+                "p2p",
+                "p2p.cpu",
+                "placement",
+                "placement.cpu",
+                "total",
+            ],
+            "--threads {threads}"
+        );
         let counts = doc
             .get("profile")
             .and_then(|p| p.get("counts"))
