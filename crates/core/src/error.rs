@@ -109,6 +109,10 @@ pub enum SynthesisError {
     /// An incremental-session edit did not apply: unknown arc or port,
     /// or the edited instance no longer builds (e.g. a zero rate).
     InvalidEdit(String),
+    /// A link segment planned for this arc has a length that is not
+    /// positive and finite. Finite port positions can still be far
+    /// enough apart that their distance overflows to infinity.
+    InvalidDistance(ArcId, f64),
 }
 
 impl fmt::Display for SynthesisError {
@@ -135,6 +139,10 @@ impl fmt::Display for SynthesisError {
             ),
             SynthesisError::Cancelled => write!(f, "synthesis cancelled"),
             SynthesisError::InvalidEdit(why) => write!(f, "invalid edit: {why}"),
+            SynthesisError::InvalidDistance(a, d) => write!(
+                f,
+                "arc {a} spans a distance of {d}; distances must be positive and finite"
+            ),
         }
     }
 }

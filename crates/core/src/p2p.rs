@@ -78,7 +78,9 @@ impl P2pPlan {
 ///   segmentation but the library has no repeater;
 /// * [`SynthesisError::MissingMuxDemux`] — duplication required but mux or
 ///   demux missing;
-/// * [`SynthesisError::NoFeasibleLink`] — no link works at all.
+/// * [`SynthesisError::NoFeasibleLink`] — no link works at all;
+/// * [`SynthesisError::InvalidDistance`] — `distance` is not positive
+///   and finite.
 ///
 /// The `arc` id only labels the error.
 ///
@@ -120,10 +122,9 @@ pub fn best_plan_limited(
     max_hops: Option<u32>,
     arc: ArcId,
 ) -> Result<P2pPlan, SynthesisError> {
-    assert!(
-        distance.is_finite() && distance > 0.0,
-        "distance must be positive and finite, got {distance}"
-    );
+    if !(distance.is_finite() && distance > 0.0) {
+        return Err(SynthesisError::InvalidDistance(arc, distance));
+    }
     ccs_obs::counter("p2p.plans", 1);
     let mut best: Option<P2pPlan> = None;
     let mut saw_missing_repeater = false;
@@ -412,10 +413,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "positive and finite")]
     fn zero_distance_rejected() {
         let lib = wan_paper_library();
-        let _ = best_plan(&lib, 0.0, mbps(1.0), ArcId(0));
+        for bad in [0.0, -1.0, f64::INFINITY, f64::NAN] {
+            let err = best_plan(&lib, bad, mbps(1.0), ArcId(2)).unwrap_err();
+            assert!(
+                matches!(err, SynthesisError::InvalidDistance(ArcId(2), _)),
+                "{bad}: {err:?}"
+            );
+        }
     }
 
     /// Two-tier library: a cheap short link that needs segmentation and a

@@ -3,7 +3,9 @@
 //! The workspace builds offline (no serde); metrics documents and
 //! trace events need only this small, dependency-free subset: the
 //! seven JSON value kinds, string escaping, and a recursive-descent
-//! parser used by tests and by consumers of `--metrics-json` output.
+//! parser used by tests, by consumers of `--metrics-json` output, and by
+//! `ccs serve` on untrusted request lines. The parser bounds its
+//! recursion at [`MAX_DEPTH`], so no input can overflow the stack.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -209,15 +211,23 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Deepest array/object nesting [`parse`] accepts. The deepest document
+/// the workspace writes nests 12 levels: a `ccs-bench-v1` document
+/// whose per-case `ccs-profile-v1` call tree accounts for 9 of them.
+/// The cap leaves a wide margin and keeps the recursion shallow enough
+/// for any thread's stack.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses a complete JSON document.
 ///
 /// # Errors
 ///
-/// [`ParseError`] on malformed input or trailing garbage.
+/// [`ParseError`] on malformed input, trailing garbage, or nesting
+/// deeper than [`MAX_DEPTH`].
 pub fn parse(text: &str) -> Result<Value, ParseError> {
     let bytes = text.as_bytes();
     let mut pos = 0;
-    let v = parse_value(bytes, &mut pos)?;
+    let v = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(err(pos, "trailing characters"));
@@ -247,8 +257,12 @@ fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), ParseError> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
+/// Parses one value that sits inside `depth` enclosing arrays/objects.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, ParseError> {
     skip_ws(b, pos);
+    if depth == MAX_DEPTH && matches!(b.get(*pos), Some(b'[' | b'{')) {
+        return Err(err(*pos, "nesting too deep"));
+    }
     match b.get(*pos) {
         None => Err(err(*pos, "unexpected end of input")),
         Some(b'n') => parse_lit(b, pos, "null", Value::Null),
@@ -264,7 +278,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
                 return Ok(Value::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -289,7 +303,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
                 let key = parse_string(b, pos)?;
                 skip_ws(b, pos);
                 expect(b, pos, b':')?;
-                let val = parse_value(b, pos)?;
+                let val = parse_value(b, pos, depth + 1)?;
                 map.insert(key, val);
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -365,12 +379,16 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, ParseError> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar.
-                let rest =
-                    std::str::from_utf8(&b[*pos..]).map_err(|_| err(*pos, "invalid utf-8"))?;
-                let c = rest.chars().next().ok_or_else(|| err(*pos, "empty"))?;
-                s.push(c);
-                *pos += c.len_utf8();
+                // Copy the run up to the next quote or backslash in one
+                // step. Both are ASCII, so the run ends on a character
+                // boundary of the (valid UTF-8) input.
+                let start = *pos;
+                while *pos < b.len() && !matches!(b[*pos], b'"' | b'\\') {
+                    *pos += 1;
+                }
+                let run = std::str::from_utf8(&b[start..*pos])
+                    .map_err(|_| err(start, "invalid utf-8"))?;
+                s.push_str(run);
             }
         }
     }
@@ -420,6 +438,21 @@ mod tests {
         assert!(parse("\"unterminated").is_err());
         assert!(parse("{} trailing").is_err());
         assert!(parse("nul").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let arrays = "[".repeat(200_000);
+        assert!(parse(&arrays).is_err());
+        let objects = "{\"a\":".repeat(200_000);
+        assert!(parse(&objects).is_err());
+        // Exactly at the cap still parses; one more level does not.
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_cap).is_ok());
+        let over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        let e = parse(&over).unwrap_err();
+        assert_eq!(e.at, MAX_DEPTH);
+        assert!(e.message.contains("too deep"), "{e}");
     }
 
     #[test]

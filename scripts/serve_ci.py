@@ -25,6 +25,11 @@ Checks, in order:
    counts <= lifetime), a `ccs top --once --json` smoke test against
    a live daemon, and `--slow-ms 0 --slow-log` capturing every
    request to a valid `ccs-serve-slow-v1` JSONL.
+8. **Hostile input** — over one TCP connection: 200k `[`, a synth whose
+   port sits at 1e308, a line over the daemon's line cap, and a line
+   that is not valid UTF-8. Each gets exactly one `error` response and
+   the shutdown ack counts all four; afterwards `ping` answers and a
+   normal synth is byte-identical to its one-shot run.
 
 Usage: scripts/serve_ci.py path/to/ccs
 """
@@ -41,6 +46,7 @@ from pathlib import Path
 CONNECTIONS = 8
 REQUESTS_PER_CONNECTION = 4  # 32 total
 SLOW_SEED, SLOW_CHANNELS = 7, 12  # ~0.5 s optimized: ample cancel window
+MAX_LINE_BYTES = 1 << 20  # mirrors ccs::serve::MAX_LINE_BYTES
 
 
 def run(argv, **kw):
@@ -81,6 +87,9 @@ class Conn:
 
     def send(self, obj):
         self.sock.sendall((json.dumps(obj) + "\n").encode())
+
+    def send_raw(self, data):
+        self.sock.sendall(data)
 
     def recv(self):
         line = self.reader.readline()
@@ -207,7 +216,7 @@ def main():
     assert ack["uptime_ns"] > 0 and ack["inflight_hwm"] >= 1, ack
     assert ack["cache_hits"] + ack["cache_misses"] == total, ack
     daemon.wait()
-    print(f"[1/7] {total} concurrent requests byte-identical to one-shot runs; "
+    print(f"[1/8] {total} concurrent requests byte-identical to one-shot runs; "
           "stats answered inline under load")
 
     # --- 2. queued-request cancellation ----------------------------------
@@ -226,7 +235,7 @@ def main():
     assert victim["id"] == "victim" and victim["status"] == "cancelled", victim
     for key in ("metrics", "ledger", "topology", "error"):
         assert key not in victim, f"cancelled response leaked {key!r}"
-    print("[2/7] queued request cancelled before starting, no body")
+    print("[2/8] queued request cancelled before starting, no body")
 
     # --- 3. in-flight cancellation ---------------------------------------
     side = daemon.connect()
@@ -248,7 +257,7 @@ def main():
     assert cancelled_mid_run, "cancel never landed mid-run in 5 attempts"
     conn.send(request("bye", "shutdown"))
     daemon.wait()
-    print("[3/7] in-flight request aborted cooperatively")
+    print("[3/8] in-flight request aborted cooperatively")
 
     # --- 4. graceful shutdown drains queued work -------------------------
     daemon = Daemon(ccs, workers=2)
@@ -263,7 +272,7 @@ def main():
     ack = conn.recv()
     assert ack["kind"] == "shutdown" and ack["served"] == len(ids), ack
     daemon.wait()
-    print("[4/7] shutdown drained 6 queued requests, acknowledged last")
+    print("[4/8] shutdown drained 6 queued requests, acknowledged last")
 
     # --- 5. stdin mode ----------------------------------------------------
     lines = "\n".join(json.dumps(r) for r in [
@@ -277,7 +286,7 @@ def main():
     assert [d["id"] for d in docs] == ["p1", "s1", "bye"], docs
     assert docs[0]["kind"] == "ping" and docs[1]["status"] == "ok", docs
     assert docs[2]["kind"] == "shutdown" and docs[2]["served"] == 1, docs
-    print("[5/7] stdin mode: pure JSON-lines stdout, summary on stderr")
+    print("[5/8] stdin mode: pure JSON-lines stdout, summary on stderr")
 
     # --- 6. incremental re-synthesis sessions ----------------------------
     # A named session driven through an edit sequence over TCP; every
@@ -328,7 +337,7 @@ def main():
     ack = conn.recv()
     assert ack["kind"] == "shutdown", ack
     daemon.wait()
-    print("[6/7] resynth session over TCP matches cold CLI runs at every edit step")
+    print("[6/8] resynth session over TCP matches cold CLI runs at every edit step")
 
     # --- 7. fleet telemetry: ccs top + slow-request capture ---------------
     slow_log = tmp / "slow.jsonl"
@@ -365,8 +374,56 @@ def main():
         assert e["total_ns"] >= e["run_ns"] > 0, e
         assert e["total_ns"] >= e["queue_wait_ns"], e
         assert "metrics" in e, e
-    print(f"[7/7] ccs top reads live stats; --slow-ms 0 captured "
+    print(f"[7/8] ccs top reads live stats; --slow-ms 0 captured "
           f"{len(entries)} slow-request entries")
+
+    # --- 8. hostile input -------------------------------------------------
+    # One worker: the far-port synth must fail as a typed error and leave
+    # the only worker alive for the normal synth queued behind it.
+    far = instances[seeds[0]].splitlines()
+    port = next(i for i, l in enumerate(far) if l.startswith("port "))
+    far[port] = f"port {far[port].split()[1]} 1e308 0"
+    far = "\n".join(far) + "\n"
+    expected_errors = {
+        None: ["nesting too deep", "longer than", "not valid UTF-8"],
+        "far": ["distances must be positive and finite"],
+    }
+    daemon = Daemon(ccs, workers=1)
+    conn = daemon.connect()
+    conn.send_raw(b"[" * 200_000 + b"\n")
+    conn.send(request("far", "synth", far, library))
+    conn.send_raw(b"x" * (MAX_LINE_BYTES + 1) + b"\n")
+    conn.send_raw(b'{"id":"\xff\xfe"}\n')
+    conn.send(request("p8", "ping"))
+    ref = references[seeds[0]]
+    assert ref["kind"] == "synth", ref
+    conn.send(request("ok8", "synth", instances[seeds[0]], library, ledger=True, threads=2))
+    got = [conn.recv() for _ in range(6)]
+    errors = {}
+    for resp in got:
+        if resp["status"] == "error":
+            errors.setdefault(resp["id"], []).append(resp["error"])
+    for rid, needles in expected_errors.items():
+        messages = errors.get(rid, [])
+        assert len(messages) == len(needles), (rid, messages)
+        for needle in needles:
+            assert sum(needle in m for m in messages) == 1, (rid, needle, messages)
+    inline = [r for r in got if r["id"] in (None, "p8")]
+    assert inline[-1]["id"] == "p8" and inline[-1]["kind"] == "ping", got
+    ok = next(r for r in got if r["id"] == "ok8")
+    assert ok["status"] == "ok", ok
+    assert canonical(ok["metrics"]["topology"]) == ref["topology"], \
+        "synth after hostile input diverges from one-shot"
+    assert canonical(ok["ledger"]) == ref["ledger"], \
+        "ledger after hostile input diverges from one-shot"
+    conn.send(request("bye", "shutdown"))
+    ack = conn.recv()
+    bad_lines = sum(len(n) for n in expected_errors.values())
+    assert ack["kind"] == "shutdown" and ack["errors"] == bad_lines, ack
+    assert ack["served"] == 1, ack
+    daemon.wait()
+    print(f"[8/8] {bad_lines} hostile lines got one counted error each; "
+          "ping and a byte-identical synth still answer")
     print("serve CI: all checks passed")
 
 

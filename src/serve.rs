@@ -65,7 +65,7 @@ use ccs_obs::json::{self, Value};
 use ccs_obs::scope::RequestObs;
 use ccs_obs::{Collector, Record};
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -100,6 +100,13 @@ pub const MAX_LIBRARIES: usize = 16;
 /// session with the largest id is dropped (same content-determined
 /// rule as the library caches).
 pub const MAX_SESSIONS: usize = 16;
+
+/// Longest request line the daemon reads, in bytes (excluding the
+/// newline). The largest requests the tests and CI send are seeded WAN
+/// and SoC instances of a few tens of kilobytes, so the cap leaves a
+/// wide margin while bounding what one line can make a reader buffer.
+/// A longer line gets one `error` response and is skipped.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// Recently completed request ids remembered for late-duplicate
 /// rejection. A bounded ring: beyond this the oldest completed id may
@@ -1101,15 +1108,18 @@ impl Engine {
     /// Parses one line and dispatches it. Ping/cancel/errors are
     /// answered inline; synth/analyze are queued.
     pub fn submit_line(&self, line: &str, sink: &Arc<dyn ResponseSink>) -> Submit {
-        let req = match parse_request(line) {
-            Ok(req) => req,
-            Err(e) => {
-                self.errors.fetch_add(1, Ordering::Relaxed);
-                send_value(sink.as_ref(), &error_response(e.id.as_deref(), &e.message));
-                return Submit::Handled;
-            }
-        };
-        self.submit(req, sink)
+        match parse_request(line) {
+            Ok(req) => self.submit(req, sink),
+            Err(e) => self.reject(e.id.as_deref(), &e.message, sink),
+        }
+    }
+
+    /// Answers a line that never became a request with one counted
+    /// `error` response.
+    fn reject(&self, id: Option<&str>, message: &str, sink: &Arc<dyn ResponseSink>) -> Submit {
+        self.errors.fetch_add(1, Ordering::Relaxed);
+        send_value(sink.as_ref(), &error_response(id, message));
+        Submit::Handled
     }
 
     /// Dispatches an already-parsed request.
@@ -1634,22 +1644,9 @@ impl Server {
         let pending_shutdown: PendingShutdown = match self.listener {
             None => {
                 let sink: Arc<dyn ResponseSink> = WriterSink::new(std::io::stdout());
-                let stdin = std::io::stdin();
-                let mut pending = None;
-                for line in stdin.lock().lines() {
-                    let line = line.map_err(|e| format!("stdin: {e}"))?;
-                    if line.trim().is_empty() {
-                        continue;
-                    }
-                    match engine.submit_line(&line, &sink) {
-                        Submit::Shutdown(id) => {
-                            pending = Some((id, sink.clone()));
-                            break;
-                        }
-                        Submit::Queued | Submit::Handled => {}
-                    }
-                }
-                pending
+                read_requests(&engine, std::io::stdin().lock(), &sink)
+                    .map_err(|e| format!("stdin: {e}"))?
+                    .map(|id| (id, sink))
             }
             Some(listener) => {
                 let addr = listener
@@ -1712,28 +1709,94 @@ fn serve_connection(
     pending: &Mutex<PendingShutdown>,
 ) {
     // Accepted sockets must block regardless of the listener's mode.
-    if stream.set_nonblocking(false).is_err() {
+    // Without TCP_NODELAY, Nagle's algorithm holds a response written
+    // while an earlier one on the same connection is still unacknowledged
+    // until the peer's delayed ACK (up to ~40 ms) arrives.
+    if stream
+        .set_nonblocking(false)
+        .and_then(|()| stream.set_nodelay(true))
+        .is_err()
+    {
         return;
     }
     let Ok(write_half) = stream.try_clone() else {
         return;
     };
     let sink: Arc<dyn ResponseSink> = WriterSink::new(write_half);
-    let reader = std::io::BufReader::new(stream);
-    for line in reader.lines() {
-        let Ok(line) = line else {
-            return;
-        };
-        if line.trim().is_empty() {
+    // A read error drops the connection like end of input.
+    if let Ok(Some(id)) = read_requests(engine, std::io::BufReader::new(stream), &sink) {
+        *pending.lock().unwrap_or_else(|e| e.into_inner()) = Some((id, sink));
+        stop.store(true, Ordering::Release);
+    }
+}
+
+/// The request loop of both transports: reads newline-terminated lines
+/// from `reader` and submits each to `engine`, answering on `sink`.
+/// Returns the id of a shutdown request (reading stops there), `None`
+/// at end of input, or the first read error.
+///
+/// Lines are read with a bound of [`MAX_LINE_BYTES`]: a longer line
+/// gets one `error` response (`"id": null`), the rest of it is
+/// discarded, and reading carries on with the next line. A line that is
+/// not valid UTF-8 gets one `error` response too. Blank lines are
+/// skipped.
+fn read_requests(
+    engine: &Engine,
+    mut reader: impl BufRead,
+    sink: &Arc<dyn ResponseSink>,
+) -> std::io::Result<Option<String>> {
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        // One byte past the cap tells an over-cap line from one that
+        // fills it exactly.
+        let limit = MAX_LINE_BYTES as u64 + 1;
+        if reader.by_ref().take(limit).read_until(b'\n', &mut buf)? == 0 {
+            return Ok(None);
+        }
+        if buf.last() == Some(&b'\n') {
+            buf.pop();
+            if buf.last() == Some(&b'\r') {
+                buf.pop();
+            }
+        } else if buf.len() > MAX_LINE_BYTES {
+            let message = format!("request line longer than {MAX_LINE_BYTES} bytes");
+            engine.reject(None, &message, sink);
+            skip_line(&mut reader)?;
             continue;
         }
-        match engine.submit_line(&line, &sink) {
-            Submit::Shutdown(id) => {
-                *pending.lock().unwrap_or_else(|e| e.into_inner()) = Some((id, sink.clone()));
-                stop.store(true, Ordering::Release);
-                return;
+        let submit = match std::str::from_utf8(&buf) {
+            Ok(line) if line.trim().is_empty() => continue,
+            Ok(line) => engine.submit_line(line, sink),
+            Err(_) => engine.reject(None, "request line is not valid UTF-8", sink),
+        };
+        if let Submit::Shutdown(id) = submit {
+            return Ok(Some(id));
+        }
+    }
+}
+
+/// Consumes input up to and including the next newline (or to end of
+/// input) without buffering it.
+fn skip_line(reader: &mut impl BufRead) -> std::io::Result<()> {
+    loop {
+        let chunk = match reader.fill_buf() {
+            Ok(chunk) => chunk,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if chunk.is_empty() {
+            return Ok(());
+        }
+        match chunk.iter().position(|&b| b == b'\n') {
+            Some(i) => {
+                reader.consume(i + 1);
+                return Ok(());
             }
-            Submit::Queued | Submit::Handled => {}
+            None => {
+                let n = chunk.len();
+                reader.consume(n);
+            }
         }
     }
 }
@@ -1874,6 +1937,66 @@ mod tests {
         assert_eq!(docs[1].get("status").unwrap().as_str(), Some("error"));
         assert_eq!(docs[1].get("id"), Some(&Value::Null));
         assert_eq!(engine.summary().errors, 1);
+    }
+
+    #[test]
+    fn read_loop_bounds_lines_and_stops_at_shutdown() {
+        let ping = |id: &str| {
+            format!("{{\"schema\":\"{REQUEST_SCHEMA}\",\"id\":\"{id}\",\"kind\":\"ping\"}}")
+        };
+        let mut input = Vec::new();
+        input.extend_from_slice(format!("{}\r\n\n  \n", ping("crlf")).as_bytes());
+        // Exactly at the cap: read whole, then rejected as JSON.
+        input.extend(std::iter::repeat_n(b' ', MAX_LINE_BYTES - 1));
+        input.extend_from_slice(b"x\n");
+        // One byte over: rejected by length, the tail is skipped.
+        input.extend(std::iter::repeat_n(b'y', MAX_LINE_BYTES + 1));
+        input.extend_from_slice(b"\n\xff\xfe\n");
+        input.extend_from_slice(format!("{}\n", ping("after")).as_bytes());
+        input.extend_from_slice(
+            b"{\"schema\":\"ccs-request-v1\",\"id\":\"bye\",\"kind\":\"shutdown\"}\n",
+        );
+        input.extend_from_slice(format!("{}\n", ping("unread")).as_bytes());
+
+        let engine = Engine::new(&ServeConfig::default());
+        let sink = VecSink::new();
+        let dyn_sink: Arc<dyn ResponseSink> = sink.clone();
+        let shutdown = read_requests(&engine, std::io::Cursor::new(input), &dyn_sink).unwrap();
+        assert_eq!(shutdown.as_deref(), Some("bye"));
+        let docs = sink.parsed();
+        let errors: Vec<&str> = docs
+            .iter()
+            .filter_map(|d| d.get("error").and_then(Value::as_str))
+            .collect();
+        assert_eq!(docs.len(), 5, "{docs:?}");
+        assert_eq!(docs[0].get("id").unwrap().as_str(), Some("crlf"));
+        assert!(errors[0].starts_with("invalid JSON"), "{errors:?}");
+        assert!(errors[1].contains("longer than"), "{errors:?}");
+        assert!(errors[2].contains("not valid UTF-8"), "{errors:?}");
+        assert_eq!(docs[4].get("id").unwrap().as_str(), Some("after"));
+        assert_eq!(engine.summary().errors, 3);
+
+        // A final line without a newline is still a request.
+        let sink = VecSink::new();
+        let dyn_sink: Arc<dyn ResponseSink> = sink.clone();
+        let tail = std::io::Cursor::new(ping("tail").into_bytes());
+        assert_eq!(read_requests(&engine, tail, &dyn_sink).unwrap(), None);
+        assert_eq!(sink.parsed()[0].get("id").unwrap().as_str(), Some("tail"));
+
+        // A read error is returned, not taken for end of input.
+        struct Broken;
+        impl Read for Broken {
+            fn read(&mut self, _buf: &mut [u8]) -> std::io::Result<usize> {
+                Err(std::io::Error::other("broken pipe"))
+            }
+        }
+        let sink = VecSink::new();
+        let dyn_sink: Arc<dyn ResponseSink> = sink.clone();
+        let line = format!("{}\n", ping("before"));
+        let broken = std::io::BufReader::new(std::io::Cursor::new(line.into_bytes()).chain(Broken));
+        let err = read_requests(&engine, broken, &dyn_sink).unwrap_err();
+        assert_eq!(err.to_string(), "broken pipe");
+        assert_eq!(sink.parsed()[0].get("id").unwrap().as_str(), Some("before"));
     }
 
     #[test]

@@ -126,7 +126,10 @@ fn simulate_metrics_json_includes_simulation_span() {
 fn stats_counters_match_metrics_document_without_any_recorder() {
     // SynthesisStats.counters is built from the run's own return values,
     // so it must carry the same pruning story even when no recorder is
-    // installed (the default, zero-overhead configuration).
+    // installed (the default, zero-overhead configuration). The lock
+    // keeps the other tests' recorders out, and this run's phases out
+    // of their documents.
+    let _guard = RECORDER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let g = ccs::gen::wan::paper_instance();
     let lib = ccs::gen::wan::paper_library();
     let r = ccs::core::synthesis::Synthesizer::new(&g, &lib)

@@ -221,3 +221,91 @@ fn synthesis_is_deterministic() {
     );
     assert_eq!(a.implementation.to_dot("x"), b.implementation.to_dot("x"));
 }
+
+#[test]
+fn overflowing_port_distance_is_a_typed_error_in_cli_and_serve() {
+    // Every coordinate is finite, so the instance parses, but the arc
+    // from (0, 0) to (1e308, 0) is longer than an f64 can hold once
+    // squared: its Euclidean length is infinite.
+    let lib = ccs::gen::io::library_to_string(&wan::paper_library());
+    let normal = ccs::gen::io::instance_to_string(&wan::paper_instance());
+    let mut lines: Vec<String> = normal.lines().map(str::to_string).collect();
+    // The second port line is the destination of the first channel.
+    let dst = lines.iter().position(|l| l.starts_with("port ")).unwrap() + 1;
+    let name = lines[dst].split_whitespace().nth(1).unwrap().to_string();
+    lines[dst] = format!("port {name} 1e308 0");
+    let inst = lines.join("\n") + "\n";
+    let expected = "distances must be positive and finite";
+
+    let dir = std::env::temp_dir().join(format!("ccs-robustness-far-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (inst_path, lib_path) = (dir.join("far.ccs"), dir.join("lib.ccs"));
+    std::fs::write(&inst_path, &inst).unwrap();
+    std::fs::write(&lib_path, &lib).unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_ccs"))
+        .arg("synth")
+        .arg("--instance")
+        .arg(&inst_path)
+        .arg("--library")
+        .arg(&lib_path)
+        .output()
+        .expect("ccs runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(stderr.contains(expected), "stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // Served: one counted error response, and the worker survives to
+    // answer the next request.
+    use ccs::obs::json::{self, Value};
+    use ccs::serve::{Engine, ResponseSink, ServeConfig, REQUEST_SCHEMA};
+    use std::collections::BTreeMap;
+    use std::sync::{Arc, Mutex};
+    #[derive(Default)]
+    struct Lines(Mutex<Vec<String>>);
+    impl ResponseSink for Lines {
+        fn send_line(&self, line: &str) {
+            self.0.lock().unwrap().push(line.trim_end().to_string());
+        }
+    }
+    let synth = |id: &str, instance: &str| {
+        let mut obj = BTreeMap::new();
+        obj.insert("schema".to_string(), Value::Str(REQUEST_SCHEMA.to_string()));
+        obj.insert("id".to_string(), Value::Str(id.to_string()));
+        obj.insert("kind".to_string(), Value::Str("synth".to_string()));
+        obj.insert("instance".to_string(), Value::Str(instance.to_string()));
+        obj.insert("library".to_string(), Value::Str(lib.clone()));
+        let mut line = String::new();
+        Value::Obj(obj).write_compact(&mut line);
+        line
+    };
+    let engine = Engine::new(&ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    });
+    let lines = Arc::new(Lines::default());
+    let sink: Arc<dyn ResponseSink> = lines.clone();
+    engine.submit_line(&synth("far", &inst), &sink);
+    engine.submit_line(&synth("ok", &normal), &sink);
+    engine.close();
+    engine.worker_loop();
+    let docs: Vec<Value> = lines
+        .0
+        .lock()
+        .unwrap()
+        .iter()
+        .map(|l| json::parse(l).unwrap())
+        .collect();
+    assert_eq!(docs.len(), 2);
+    assert_eq!(docs[0].get("id").unwrap().as_str(), Some("far"));
+    assert_eq!(docs[0].get("status").unwrap().as_str(), Some("error"));
+    assert!(docs[0]
+        .get("error")
+        .and_then(Value::as_str)
+        .unwrap()
+        .contains(expected));
+    assert_eq!(docs[1].get("status").unwrap().as_str(), Some("ok"));
+    let summary = engine.summary();
+    assert_eq!((summary.errors, summary.served), (1, 1));
+}

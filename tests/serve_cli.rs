@@ -1,12 +1,14 @@
 //! End-to-end checks of the `ccs serve` daemon over real TCP: concurrent
-//! requests from several connections, mid-request cancellation, and
-//! graceful shutdown that drains in-flight work before acknowledging.
+//! requests from several connections, mid-request cancellation, graceful
+//! shutdown that drains in-flight work before acknowledging, prompt
+//! back-to-back responses, and bad lines that leave the connection open.
 
 use ccs::obs::json::{self, Value};
-use ccs::serve::{ServeConfig, Server, REQUEST_SCHEMA};
+use ccs::serve::{ServeConfig, Server, MAX_LINE_BYTES, REQUEST_SCHEMA};
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::time::{Duration, Instant};
 
 fn instance_text(seed: u64, channels: usize) -> String {
     let cfg = ccs::gen::random::ClusteredWanConfig {
@@ -274,4 +276,66 @@ fn stdin_style_engine_rejects_after_close() {
     assert_eq!(submit, Submit::Handled);
     let doc = json::parse(&sink.0.lock().unwrap()[0]).unwrap();
     assert_eq!(doc.get("status").unwrap().as_str(), Some("error"));
+}
+
+#[test]
+fn back_to_back_responses_are_not_held_for_the_peers_ack() {
+    // Two pings in one write: the reader thread answers both inline, so
+    // the round trip measures only the socket. With Nagle's algorithm
+    // on, the second answer waits for the client's delayed ACK of the
+    // first (~40 ms per pair on Linux); with TCP_NODELAY it goes out at
+    // once (well under a millisecond per pair).
+    let (addr, handle) = start_server(1);
+    let mut conn = Conn::open(addr);
+    // The median round is judged, so a few rounds preempted by sibling
+    // tests on a loaded machine cannot fail it.
+    let mut rounds: Vec<Duration> = (0..20)
+        .map(|round| {
+            let a = request_line(&format!("a{round}"), "ping", &[]);
+            let b = request_line(&format!("b{round}"), "ping", &[]);
+            let start = Instant::now();
+            conn.writer
+                .write_all(format!("{a}\n{b}\n").as_bytes())
+                .unwrap();
+            for _ in 0..2 {
+                assert_eq!(conn.recv().get("kind").unwrap().as_str(), Some("ping"));
+            }
+            start.elapsed()
+        })
+        .collect();
+    rounds.sort_unstable();
+    let median = rounds[rounds.len() / 2];
+    assert!(
+        median < Duration::from_millis(20),
+        "median ping pair took {median:?} (all rounds: {rounds:?})"
+    );
+    conn.send(&request_line("bye", "shutdown", &[]));
+    handle.join().unwrap();
+}
+
+#[test]
+fn over_cap_and_invalid_utf8_lines_get_one_error_each() {
+    let (addr, handle) = start_server(1);
+    let mut conn = Conn::open(addr);
+    let mut long = vec![b'x'; MAX_LINE_BYTES + 1];
+    long.push(b'\n');
+    conn.writer.write_all(&long).unwrap();
+    conn.writer.write_all(b"{\"id\":\"\xff\xfe\"}\n").unwrap();
+    conn.send(&request_line("p", "ping", &[]));
+    // In order, one response per line: the bad lines cannot be tied to
+    // a request id, and the ping proves the connection is still open.
+    for expected in ["longer than", "not valid UTF-8"] {
+        let doc = conn.recv();
+        assert_eq!(doc.get("status").unwrap().as_str(), Some("error"));
+        assert_eq!(doc.get("id"), Some(&Value::Null));
+        let message = doc.get("error").unwrap().as_str().unwrap();
+        assert!(message.contains(expected), "{message}");
+    }
+    let pong = conn.recv();
+    assert_eq!(pong.get("id").unwrap().as_str(), Some("p"));
+    assert_eq!(pong.get("kind").unwrap().as_str(), Some("ping"));
+    conn.send(&request_line("bye", "shutdown", &[]));
+    let ack = conn.recv();
+    assert_eq!(ack.get("errors").unwrap().as_num(), Some(2.0));
+    assert_eq!(handle.join().unwrap().errors, 2);
 }
