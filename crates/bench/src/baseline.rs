@@ -294,7 +294,7 @@ fn run_case(case: &Case, threads: usize) -> Result<CaseRun, String> {
             let m = covering_par_instance();
             let exec = ccs_exec::Executor::new(threads);
             let (cover, stats) = m
-                .solve_exact_with_stats_on(&exec)
+                .solve(ccs_covering::Search::Complete { seed: None }, &exec)
                 .map_err(|e| format!("{}: {e}", case.name))?;
             std::hint::black_box(&cover);
             let mut counters = BTreeMap::new();

@@ -198,11 +198,12 @@ fn cmd_covering<'a>(mut it: impl Iterator<Item = &'a str>) -> Result<i32, String
 
     let m = baseline::covering_par_instance();
     let exec = ccs_exec::Executor::new(threads);
-    let (cover, stats) = match &seed {
-        Some(cols) => m.solve_exact_seeded_on(cols, &exec),
-        None => m.solve_exact_with_stats_on(&exec),
-    }
-    .map_err(|e| format!("covering solve failed: {e}"))?;
+    let search = ccs_covering::Search::Complete {
+        seed: seed.as_deref(),
+    };
+    let (cover, stats) = m
+        .solve(search, &exec)
+        .map_err(|e| format!("covering solve failed: {e}"))?;
 
     use ccs_obs::json::Value;
     use std::collections::BTreeMap;

@@ -7,7 +7,7 @@
 
 use crate::error::SynthesisError;
 use crate::placement::Candidate;
-use ccs_covering::{CoverMatrix, SolveStats};
+use ccs_covering::{CoverError, CoverMatrix, Search, SolveStats};
 use ccs_exec::Executor;
 use ccs_obs::ledger::{self, Cause, DecisionEvent};
 
@@ -49,6 +49,11 @@ pub struct CoverOutcome {
 const MIN_WEIGHT: f64 = 1e-9;
 
 /// Builds the covering matrix over `candidates` for `n_arcs` rows.
+///
+/// # Panics
+///
+/// Panics if a candidate cost is `+inf`. The selectors reject every
+/// non-finite cost with a typed error before building the matrix.
 pub fn build_matrix(candidates: &[Candidate], n_arcs: usize) -> CoverMatrix {
     let mut m = CoverMatrix::new(n_arcs);
     for c in candidates {
@@ -58,60 +63,28 @@ pub fn build_matrix(candidates: &[Candidate], n_arcs: usize) -> CoverMatrix {
 }
 
 /// Selects the minimum-cost subset of `candidates` covering all `n_arcs`
-/// constraint arcs.
+/// constraint arcs, running the branch-and-bound over `exec`.
 ///
-/// # Errors
-///
-/// [`SynthesisError::Cover`] when the matrix is infeasible (an arc with
-/// no candidate — cannot happen when the point-to-point candidates are
-/// included) or the solver otherwise fails.
-pub fn select(
-    candidates: &[Candidate],
-    n_arcs: usize,
-    strategy: CoverStrategy,
-) -> Result<CoverOutcome, SynthesisError> {
-    select_inner(
-        candidates,
-        n_arcs,
-        strategy,
-        |_, _| false,
-        None,
-        &Executor::serial(),
-    )
-}
-
-/// Like [`select`], but warm-starts the exact solver from `seed` — the
-/// candidate indices of a known feasible cover (typically the previous
-/// selection of an incremental re-synthesis session). The seed bounds
-/// the branch-and-bound search; it never changes the returned
-/// selection, which stays bit-identical to an unseeded [`select`]
-/// (see [`ccs_covering::CoverMatrix::solve_exact_seeded`]). An invalid
-/// or infeasible seed is ignored. Non-exact strategies ignore the seed
-/// entirely.
-///
-/// # Errors
-///
-/// As [`select`].
-pub fn select_seeded(
-    candidates: &[Candidate],
-    n_arcs: usize,
-    strategy: CoverStrategy,
-    seed: Option<&[usize]>,
-) -> Result<CoverOutcome, SynthesisError> {
-    select_seeded_on(candidates, n_arcs, strategy, seed, &Executor::serial())
-}
-
-/// Like [`select_seeded`], but runs the branch-and-bound over `exec`:
-/// the root branch options expand into independent subtree tasks that
+/// The root branch options expand into independent subtree tasks that
 /// the executor's workers race through under a shared incumbent bound.
 /// The returned selection, ledger events, and deterministic statistics
 /// are byte-identical at every worker count — only wall clock and the
 /// scheduling-dependent [`SolveStats::steals`]/
 /// [`SolveStats::dominance_ns`] fields vary.
 ///
+/// `seed` warm-starts the exact solver from the candidate indices of a
+/// known feasible cover (typically the previous selection of an
+/// incremental re-synthesis session). It bounds the search but never
+/// changes the returned selection (see [`Search::Complete`]); an
+/// invalid or infeasible seed is ignored, and non-exact strategies
+/// ignore the seed entirely.
+///
 /// # Errors
 ///
-/// As [`select`].
+/// [`SynthesisError::Cover`] when a candidate cost is not finite (an
+/// overflowed link or node cost), when the matrix is infeasible (an arc
+/// with no candidate — cannot happen when the point-to-point candidates
+/// are included), or when the solver otherwise fails.
 pub fn select_seeded_on(
     candidates: &[Candidate],
     n_arcs: usize,
@@ -122,8 +95,9 @@ pub fn select_seeded_on(
     select_inner(candidates, n_arcs, strategy, |_, _| false, seed, exec)
 }
 
-/// Like [`select`], but removes every candidate for which `excluded`
-/// returns `true` before solving the covering problem.
+/// Like [`select_seeded_on`] without a seed, on the serial executor,
+/// but removes every candidate for which `excluded` returns `true`
+/// before solving the covering problem.
 ///
 /// Used by resilience analysis to re-cover with fragile candidates
 /// (e.g. high-order mergings whose shared trunk is a single point of
@@ -132,8 +106,8 @@ pub fn select_seeded_on(
 ///
 /// # Errors
 ///
-/// [`SynthesisError::Cover`] when the surviving columns no longer cover
-/// every arc, or the solver otherwise fails.
+/// As [`select_seeded_on`], and when the surviving columns no longer
+/// cover every arc.
 pub fn select_excluding<F>(
     candidates: &[Candidate],
     n_arcs: usize,
@@ -164,6 +138,9 @@ fn select_inner<F>(
 where
     F: Fn(usize, &Candidate) -> bool,
 {
+    if let Some(c) = candidates.iter().find(|c| !c.cost.is_finite()) {
+        return Err(CoverError::InvalidWeight(c.cost).into());
+    }
     let full = build_matrix(candidates, n_arcs);
     let excluded_cols: Vec<usize> = candidates
         .iter()
@@ -172,7 +149,7 @@ where
         .map(|(i, _)| i)
         .collect();
     // Solve the original matrix directly when nothing is excluded —
-    // the common (plain `select`) path pays no column-copy.
+    // the common (synthesis) path pays no column-copy.
     let (m, map) = if excluded_cols.is_empty() {
         (full, (0..candidates.len()).collect())
     } else {
@@ -185,19 +162,14 @@ where
     // The seed's indices live in the candidate (= unexcluded column)
     // index space, so it only applies when no column was removed.
     let seed = seed.filter(|_| excluded_cols.is_empty());
-    let (cover, stats) = match strategy {
-        CoverStrategy::Exact => {
-            let (c, s) = match seed {
-                Some(seed_cols) => m.solve_exact_seeded_on(seed_cols, exec)?,
-                None => m.solve_exact_with_stats_on(exec)?,
-            };
-            (c, Some(s))
-        }
-        CoverStrategy::Greedy => (m.solve_greedy()?, None),
-        CoverStrategy::Anytime { node_limit } => {
-            let (c, s) = m.solve_anytime_on(node_limit, exec)?;
-            (c, Some(s))
-        }
+    let search = match strategy {
+        CoverStrategy::Exact => Some(Search::Complete { seed }),
+        CoverStrategy::Anytime { node_limit } => Some(Search::Budget(node_limit)),
+        CoverStrategy::Greedy => None,
+    };
+    let (cover, stats) = match search {
+        Some(search) => m.solve(search, exec).map(|(c, s)| (c, Some(s)))?,
+        None => (m.solve_greedy()?, None),
     };
     drop(profile_solve);
     if ccs_obs::enabled() {
@@ -220,13 +192,10 @@ where
             // in metrics diffs); dominance time is a wall-clock gauge.
             ccs_obs::counter("covering.steals", s.steals);
             ccs_obs::gauge("covering.dominance_ns", s.dominance_ns as f64);
-            // How far off the greedy heuristic would have been — the
-            // exact search seeds from it, so this re-solve is cheap
-            // relative to the branch-and-bound that just ran.
-            if let Ok(g) = m.solve_greedy() {
-                if cover.cost > 0.0 {
-                    ccs_obs::gauge("covering.greedy_gap", g.cost / cover.cost - 1.0);
-                }
+            // How far off the greedy heuristic — the search's starting
+            // incumbent — would have been.
+            if cover.cost > 0.0 {
+                ccs_obs::gauge("covering.greedy_gap", s.greedy_cost / cover.cost - 1.0);
             }
         }
     }
@@ -287,6 +256,13 @@ mod tests {
         b.build().unwrap()
     }
 
+    fn select(
+        cands: &[Candidate],
+        strategy: CoverStrategy,
+    ) -> Result<CoverOutcome, SynthesisError> {
+        select_seeded_on(cands, 2, strategy, None, &Executor::serial())
+    }
+
     fn candidates(g: &ConstraintGraph) -> Vec<Candidate> {
         let lib = wan_paper_library();
         let mut cands = vec![
@@ -313,7 +289,7 @@ mod tests {
     fn exact_selection_picks_cheapest_cover() {
         let g = cluster_graph();
         let cands = candidates(&g);
-        let out = select(&cands, 2, CoverStrategy::Exact).unwrap();
+        let out = select(&cands, CoverStrategy::Exact).unwrap();
         let direct: f64 = cands[0].cost + cands[1].cost;
         let merged = cands[2].cost;
         let expect = direct.min(merged);
@@ -333,8 +309,8 @@ mod tests {
     fn greedy_selection_is_valid() {
         let g = cluster_graph();
         let cands = candidates(&g);
-        let exact = select(&cands, 2, CoverStrategy::Exact).unwrap();
-        let greedy = select(&cands, 2, CoverStrategy::Greedy).unwrap();
+        let exact = select(&cands, CoverStrategy::Exact).unwrap();
+        let greedy = select(&cands, CoverStrategy::Greedy).unwrap();
         assert!(greedy.stats.is_none());
         assert!(greedy.cost >= exact.cost - 1e-9);
     }
@@ -360,7 +336,7 @@ mod tests {
     fn excluding_nothing_matches_select() {
         let g = cluster_graph();
         let cands = candidates(&g);
-        let a = select(&cands, 2, CoverStrategy::Exact).unwrap();
+        let a = select(&cands, CoverStrategy::Exact).unwrap();
         let b = select_excluding(&cands, 2, CoverStrategy::Exact, |_, _| false).unwrap();
         assert_eq!(a, b);
     }
@@ -377,8 +353,27 @@ mod tests {
     fn infeasible_when_arc_uncovered() {
         let g = cluster_graph();
         let cands = vec![point_to_point_candidate(&g, &wan_paper_library(), 0).unwrap()];
-        let err = select(&cands, 2, CoverStrategy::Exact).unwrap_err();
+        let err = select(&cands, CoverStrategy::Exact).unwrap_err();
         assert!(matches!(err, SynthesisError::Cover(_)));
+    }
+
+    #[test]
+    fn overflowed_cost_is_a_typed_error() {
+        // A finite library cost times a long enough distance overflows
+        // to `inf`; the matrix must never see it.
+        let g = cluster_graph();
+        let mut cands = candidates(&g);
+        cands[1].cost = f64::INFINITY;
+        let err = select(&cands, CoverStrategy::Exact).unwrap_err();
+        assert_eq!(
+            err,
+            SynthesisError::Cover(CoverError::InvalidWeight(f64::INFINITY))
+        );
+        let err = select_excluding(&cands, 2, CoverStrategy::Greedy, |_, _| false).unwrap_err();
+        assert!(matches!(
+            err,
+            SynthesisError::Cover(CoverError::InvalidWeight(_))
+        ));
     }
 
     #[test]

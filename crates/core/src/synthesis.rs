@@ -227,7 +227,7 @@ impl<'a> Synthesizer<'a> {
     /// seeds the covering solver with the previous selection. None of
     /// the reuse can change a single result bit: cached values are the
     /// bits a recompute would produce, they are folded in the same
-    /// order, and [`select_seeded`] is result-identical to an unseeded
+    /// order, and [`select_seeded_on`] is result-identical to an unseeded
     /// solve by construction.
     fn run_impl(
         &self,
@@ -693,7 +693,7 @@ struct SessionState {
 /// count. What changes is the work: clean arcs skip their p2p solve,
 /// clean merge subsets skip hub placement, and the covering solver is
 /// warm-started from the previous cover (see
-/// [`ccs_covering::CoverMatrix::solve_exact_seeded`] for why the seed
+/// [`ccs_covering::Search::Complete`] for why the seed
 /// cannot change the answer).
 ///
 /// Invalidation is edit-driven, before the run: an arc-rate or

@@ -20,16 +20,20 @@
 //! # Examples
 //!
 //! ```
-//! use ccs_covering::CoverMatrix;
+//! use ccs_covering::{CoverMatrix, Search};
+//! use ccs_exec::Executor;
 //!
 //! // Rows 0..3; three candidate columns.
 //! let mut m = CoverMatrix::new(3);
 //! m.add_column(5.0, [0, 1]);
 //! m.add_column(5.0, [1, 2]);
 //! m.add_column(7.0, [0, 1, 2]);
-//! let cover = m.solve_exact().unwrap();
+//! let (cover, stats) = m
+//!     .solve(Search::Complete { seed: None }, &Executor::serial())
+//!     .unwrap();
 //! assert_eq!(cover.cost, 7.0);
 //! assert_eq!(cover.columns, vec![2]);
+//! assert!(stats.proven_optimal);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -82,6 +86,49 @@ pub struct Cover {
     pub cost: f64,
 }
 
+/// How far [`CoverMatrix::solve`] searches.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Search<'a> {
+    /// Search to completion; the returned cover is proven optimal.
+    ///
+    /// A `seed` warm-starts the search from a known cover: it must be a
+    /// feasible cover of the matrix (e.g. the selection from a previous
+    /// solve over a lightly edited instance). Its cost `B` is an upper
+    /// bound on the optimum, so subtrees whose lower bound already
+    /// exceeds `B` are pruned without waiting for the incumbent to
+    /// tighten — on a near-unchanged matrix most of the tree dies at
+    /// the root. Seed prunes are decided at deterministic expansion
+    /// time, never at racy pickup time.
+    ///
+    /// **Result-identical to the unseeded search**: the seed influences
+    /// pruning only, never the incumbent, and the extra prune is strict
+    /// (`cost + lb > B`), so it can only remove subtrees in which every
+    /// solution costs strictly more than the known cover — never the
+    /// first-visited optimum the unseeded search would return. The one
+    /// place this could diverge is a pruned subtree whose bound lies
+    /// within floating-point noise of `B` (a tight bound on the
+    /// optimum's own path evaluates a few ulps above `B` on large
+    /// weights); the search tracks the minimum pruned bound and re-runs
+    /// unseeded on the same executor whenever a prune lands inside a
+    /// dead band that scales with `B`'s magnitude, so the guarantee
+    /// holds unconditionally. Only [`SolveStats`] may differ (fewer
+    /// nodes, `seed_prunes > 0`). An infeasible or invalid seed is not
+    /// an error: it is ignored.
+    Complete {
+        /// Columns of a known feasible cover, or `None` for a cold
+        /// search.
+        seed: Option<&'a [usize]>,
+    },
+    /// Anytime search: explore at most this many branch-and-bound
+    /// nodes and return the best cover found;
+    /// [`SolveStats::proven_optimal`] reports whether the search
+    /// completed. The budget is split across subtree tasks in
+    /// deterministic contiguous slices, so the result at a given budget
+    /// is identical at every thread count, and a bigger budget never
+    /// returns a worse cover. At budget 0 the greedy cover comes back.
+    Budget(u64),
+}
+
 /// Search statistics from the exact solver.
 ///
 /// Every field is identical at every thread count except [`steals`],
@@ -105,7 +152,7 @@ pub struct SolveStats {
     /// Subtrees pruned by the lower bound.
     pub bound_prunes: u64,
     /// Subtrees pruned by the warm-start seed bound (0 unless the solve
-    /// was seeded via [`CoverMatrix::solve_exact_seeded`]).
+    /// was seeded via [`Search::Complete`]).
     pub seed_prunes: u64,
     /// Times the incumbent (best cover so far) improved during the
     /// search — 0 means the greedy seed was already optimal.
@@ -128,9 +175,12 @@ pub struct SolveStats {
     /// Schedule-dependent; ignored by `PartialEq`.
     pub dominance_ns: u64,
     /// `true` when the search ran to completion — the returned cover is
-    /// proven optimal. `false` only in anytime mode after hitting the
-    /// node budget.
+    /// proven optimal. `false` only under [`Search::Budget`] after
+    /// hitting the node budget.
     pub proven_optimal: bool,
+    /// Cost of the [greedy](CoverMatrix::solve_greedy) cover the search
+    /// starts from as its first incumbent.
+    pub greedy_cost: f64,
 }
 
 impl PartialEq for SolveStats {
@@ -148,6 +198,7 @@ impl PartialEq for SolveStats {
             && self.subtrees == other.subtrees
             && self.shared_bound_tightenings == other.shared_bound_tightenings
             && self.proven_optimal == other.proven_optimal
+            && self.greedy_cost.to_bits() == other.greedy_cost.to_bits()
     }
 }
 
@@ -285,135 +336,33 @@ impl CoverMatrix {
         Ok(cost)
     }
 
-    /// Exact minimum-weight cover via branch-and-bound.
+    /// Minimum-weight cover by branch-and-bound, with the subtree sweep
+    /// run on `exec`.
     ///
-    /// # Errors
-    ///
-    /// [`CoverError::Infeasible`] when some row has no covering column.
-    pub fn solve_exact(&self) -> Result<Cover, CoverError> {
-        self.solve_exact_with_stats().map(|(c, _)| c)
-    }
-
-    /// [`solve_exact`](Self::solve_exact) with the subtree sweep run on
-    /// `exec`. The cover (and every deterministic [`SolveStats`] field)
-    /// is byte-identical at every thread count; only wall clock, the
-    /// [`steals`](SolveStats::steals) counter, the
-    /// [`busy`](SolveStats::busy) time and
+    /// [`Search::Complete`] runs the search to completion, so the cover
+    /// is proven optimal; [`Search::Budget`] returns the best cover found
+    /// within a node budget (see the variants for the seed and budget
+    /// semantics). The cover and every deterministic [`SolveStats`]
+    /// field are byte-identical at every thread count; only wall clock,
+    /// [`steals`](SolveStats::steals), [`busy`](SolveStats::busy) and
     /// [`dominance_ns`](SolveStats::dominance_ns) vary.
     ///
     /// # Errors
     ///
     /// [`CoverError::Infeasible`] when some row has no covering column.
-    pub fn solve_exact_on(&self, exec: &Executor) -> Result<Cover, CoverError> {
-        self.solve_exact_with_stats_on(exec).map(|(c, _)| c)
-    }
-
-    /// Like [`solve_exact`](Self::solve_exact) but also returns search
-    /// statistics.
-    ///
-    /// # Errors
-    ///
-    /// [`CoverError::Infeasible`] when some row has no covering column.
-    pub fn solve_exact_with_stats(&self) -> Result<(Cover, SolveStats), CoverError> {
-        self.solve_anytime(u64::MAX)
-    }
-
-    /// [`solve_exact_with_stats`](Self::solve_exact_with_stats) on a
-    /// caller-provided executor.
-    ///
-    /// # Errors
-    ///
-    /// [`CoverError::Infeasible`] when some row has no covering column.
-    pub fn solve_exact_with_stats_on(
+    pub fn solve(
         &self,
+        search: Search<'_>,
         exec: &Executor,
     ) -> Result<(Cover, SolveStats), CoverError> {
-        self.solve_anytime_on(u64::MAX, exec)
-    }
-
-    /// Anytime variant of the exact solver: explores at most `node_limit`
-    /// branch-and-bound nodes and returns the best cover found so far.
-    /// [`SolveStats::proven_optimal`] reports whether the search
-    /// completed (it always does when the limit is not hit).
-    ///
-    /// # Errors
-    ///
-    /// [`CoverError::Infeasible`] when some row has no covering column.
-    pub fn solve_anytime(&self, node_limit: u64) -> Result<(Cover, SolveStats), CoverError> {
-        self.solve_inner(node_limit, None, &Executor::serial())
-    }
-
-    /// [`solve_anytime`](Self::solve_anytime) on a caller-provided
-    /// executor. The node budget is split across subtree tasks in
-    /// deterministic contiguous slices, so the result at a given budget
-    /// is identical at every thread count.
-    ///
-    /// # Errors
-    ///
-    /// [`CoverError::Infeasible`] when some row has no covering column.
-    pub fn solve_anytime_on(
-        &self,
-        node_limit: u64,
-        exec: &Executor,
-    ) -> Result<(Cover, SolveStats), CoverError> {
-        self.solve_inner(node_limit, None, exec)
-    }
-
-    /// Exact solve warm-started from a known cover: `seed_columns` must
-    /// be a feasible cover of this matrix (e.g. the selection from a
-    /// previous solve over a lightly edited instance). Its cost `B` is an
-    /// upper bound on the optimum, so subtrees whose lower bound already
-    /// exceeds `B` are pruned without waiting for the incumbent to
-    /// tighten — on a near-unchanged matrix most of the tree dies at the
-    /// root.
-    ///
-    /// **Result-identical to
-    /// [`solve_exact_with_stats`](Self::solve_exact_with_stats)**: the
-    /// seed influences pruning
-    /// only, never the incumbent, and the extra prune is strict
-    /// (`cost + lb > B`), so it can only remove subtrees in which every
-    /// solution costs strictly more than the known cover — never the
-    /// first-visited optimum the unseeded search would return. The one
-    /// place this could diverge is a pruned subtree whose bound lies
-    /// within floating-point noise of `B` (a tight bound on the optimum's
-    /// own path evaluates a few ulps above `B` on large weights); the
-    /// search tracks the minimum pruned bound and falls back to a plain
-    /// unseeded solve whenever a prune lands inside a dead band that
-    /// scales with `B`'s magnitude, so the guarantee holds
-    /// unconditionally. Only [`SolveStats`] may differ (fewer nodes,
-    /// `seed_prunes > 0`).
-    ///
-    /// An infeasible or invalid `seed_columns` is not an error: the seed
-    /// is ignored and the plain exact solve runs.
-    ///
-    /// # Errors
-    ///
-    /// [`CoverError::Infeasible`] when some row has no covering column.
-    pub fn solve_exact_seeded(
-        &self,
-        seed_columns: &[usize],
-    ) -> Result<(Cover, SolveStats), CoverError> {
-        self.solve_exact_seeded_on(seed_columns, &Executor::serial())
-    }
-
-    /// [`solve_exact_seeded`](Self::solve_exact_seeded) on a
-    /// caller-provided executor. The warm-start identity holds at every
-    /// thread count: the seed filters subtree tasks at deterministic
-    /// expansion time (never at racy pickup time), and the relative
-    /// dead-band fallback re-runs the whole solve cold on the same
-    /// executor.
-    ///
-    /// # Errors
-    ///
-    /// [`CoverError::Infeasible`] when some row has no covering column.
-    pub fn solve_exact_seeded_on(
-        &self,
-        seed_columns: &[usize],
-        exec: &Executor,
-    ) -> Result<(Cover, SolveStats), CoverError> {
-        match self.validate_cover(seed_columns) {
-            Ok(bound) if bound.is_finite() => self.solve_inner(u64::MAX, Some(bound), exec),
-            _ => self.solve_inner(u64::MAX, None, exec),
+        match search {
+            Search::Complete { seed } => {
+                let bound = seed
+                    .and_then(|cols| self.validate_cover(cols).ok())
+                    .filter(|b| b.is_finite());
+                self.solve_inner(u64::MAX, bound, exec)
+            }
+            Search::Budget(node_limit) => self.solve_inner(node_limit, None, exec),
         }
     }
 
@@ -429,11 +378,10 @@ impl CoverMatrix {
         seed_bound: Option<f64>,
         exec: &Executor,
     ) -> Result<(Cover, SolveStats), CoverError> {
-        self.check_feasible()?;
-        let mut ctx = SearchCtx::new(self, node_limit, seed_bound);
         // Greedy upper bound seeds the search (and guarantees a valid
         // result even at node_limit = 0).
-        ctx.best = self.solve_greedy().ok().map(|c| (c.cost, c.columns));
+        let greedy = self.solve_greedy()?;
+        let mut ctx = SearchCtx::new(self, node_limit, seed_bound, (greedy.cost, greedy.columns));
         let tasks = self.expand_tasks(&mut ctx);
         let SearchCtx {
             best: start,
@@ -443,6 +391,7 @@ impl CoverMatrix {
             ..
         } = ctx;
         stats.subtrees = tasks.len() as u64;
+        stats.greedy_cost = greedy.cost;
         let mut min_pruned = seed.as_ref().map_or(f64::INFINITY, |s| s.min_pruned);
         let mut best = start.clone();
 
@@ -468,7 +417,7 @@ impl CoverMatrix {
             // — never from the warm-start seed, whose cost can exceed
             // what a budgeted search will actually find, which would
             // break the skip ⟹ exclude invariant below.
-            let shared = SharedBound::new(start.as_ref().map_or(f64::INFINITY, |(c, _)| *c));
+            let shared = SharedBound::new(start.0);
             let (mut results, exec_stats) = exec.par_map_stats(&tasks, |i, frame| {
                 // Racy pickup skip. Safe because the shared bound only
                 // tightens and every published value is the cost of a
@@ -490,7 +439,7 @@ impl CoverMatrix {
             // Final cost is an order-free min over whatever ran, so it
             // is the same value under any schedule (skipped tasks
             // provably contain nothing below it).
-            let mut c_final = start.as_ref().map_or(f64::INFINITY, |(c, _)| *c);
+            let mut c_final = start.0;
             for o in &results {
                 if let Some((c, _)) = &o.best {
                     c_final = c_final.min(*c);
@@ -535,9 +484,8 @@ impl CoverMatrix {
                 stats.proven_optimal &= o.stats.proven_optimal;
                 min_pruned = min_pruned.min(o.min_pruned);
                 if let Some((c, cols)) = &o.best {
-                    let improved = best.as_ref().is_none_or(|(g, _)| *c < *g);
-                    if improved {
-                        best = Some((*c, cols.clone()));
+                    if *c < best.0 {
+                        best = (*c, cols.clone());
                         stats.shared_bound_tightenings += 1;
                     }
                 }
@@ -562,7 +510,7 @@ impl CoverMatrix {
                 return self.solve_inner(node_limit, None, exec);
             }
         }
-        let (cost, mut columns) = best.ok_or(CoverError::Infeasible(0))?;
+        let (cost, mut columns) = best;
         columns.sort_unstable();
         columns.dedup();
         // Recompute the cost from the final column set for exactness.
@@ -627,6 +575,7 @@ impl CoverMatrix {
         if n > 25 {
             return Err(CoverError::TooLarge(n));
         }
+        self.check_feasible()?;
         let mut best: Option<(f64, u32)> = None;
         for mask in 0u32..(1u32 << n) {
             let mut covered = BitSet::new(self.n_rows);
@@ -641,7 +590,7 @@ impl CoverMatrix {
                 best = Some((cost, mask));
             }
         }
-        let (cost, mask) = best.ok_or_else(|| CoverError::Infeasible(first_uncoverable(self)))?;
+        let (cost, mask) = best.expect("feasible: the full column set covers every row");
         let columns = (0..n).filter(|c| mask & (1 << c) != 0).collect();
         Ok(Cover { columns, cost })
     }
@@ -789,21 +738,22 @@ impl CoverMatrix {
         }
     }
 
-    /// Visits one subtree node recursively. Prunes only against the
-    /// *local* incumbent in `ctx` (never reading `shared`), so the
-    /// nodes, reductions, and prunes a given subtree records are a pure
-    /// function of its frame — identical under every schedule. Local
-    /// improvements are published to `shared` for other workers'
-    /// pickup-time skips.
-    fn branch(&self, rows: BitSet, cols: BitSet, cost: f64, ctx: &mut SearchCtx) {
+    /// Visits one search node. Expansion and subtree search both go
+    /// through here, so every node-level decision is made in this one
+    /// function. It spends one unit of node budget, reduces the
+    /// node to closure (pushing the columns the reductions take onto
+    /// `ctx.chosen`; the caller restores the path), records a covered
+    /// leaf as the new incumbent (publishing it to `ctx.shared`), and
+    /// applies the incumbent and seed prunes to the node's bound. A node
+    /// that survives comes back with its branch options: the active
+    /// columns covering the hardest row, cheapest first.
+    fn visit(&self, rows: BitSet, cols: BitSet, cost: f64, ctx: &mut SearchCtx) -> Option<Open> {
         if ctx.budget == 0 {
             ctx.stats.proven_optimal = false;
-            return;
+            return None;
         }
         ctx.budget -= 1;
         ctx.stats.nodes += 1;
-        let chosen_mark = ctx.chosen.len();
-
         let (rows, cols, cost) = match self.reduce(
             rows,
             cols,
@@ -812,56 +762,25 @@ impl CoverMatrix {
             &mut ctx.stats,
             &mut ctx.covs,
         ) {
-            Reduced::DeadEnd => {
-                ctx.chosen.truncate(chosen_mark);
-                return;
-            }
+            Reduced::DeadEnd => return None,
             Reduced::Covered(cost) => {
-                if ctx.best.as_ref().is_none_or(|(bc, _)| cost < *bc) {
-                    ctx.best = Some((cost, ctx.chosen.clone()));
+                if cost < ctx.best.0 {
+                    ctx.best = (cost, ctx.chosen.clone());
                     ctx.stats.incumbent_updates += 1;
                     if let Some(s) = ctx.shared {
                         s.tighten(cost);
                     }
                 }
-                ctx.chosen.truncate(chosen_mark);
-                return;
+                return None;
             }
             Reduced::Open { rows, cols, cost } => (rows, cols, cost),
         };
-
-        let mut lb_cache = None;
-        let mut lb_for = |rows: &BitSet, cols: &BitSet| {
-            *lb_cache.get_or_insert_with(|| self.dual_ascent_bound(rows, cols))
-        };
-        if let Some((bc, _)) = &ctx.best {
-            let lb = lb_for(&rows, &cols);
-            if cost + lb >= *bc - 1e-12 {
-                ctx.stats.bound_prunes += 1;
-                ctx.chosen.truncate(chosen_mark);
-                return;
-            }
+        if ctx.prune(cost + self.dual_ascent_bound(&rows, &cols)) {
+            return None;
         }
-        // Warm-start prune, checked after (never instead of) the
-        // incumbent prune: with `bound` the cost of a known feasible
-        // cover, a subtree whose every solution costs strictly more than
-        // it can never contain the answer. Strictly `>` — an exact tie
-        // with the seed must still be explored, because the unseeded
-        // search would explore it.
-        if let Some(s) = &mut ctx.seed {
-            let lb = lb_for(&rows, &cols);
-            if cost + lb > s.bound {
-                s.min_pruned = s.min_pruned.min(cost + lb);
-                ctx.stats.seed_prunes += 1;
-                ctx.chosen.truncate(chosen_mark);
-                return;
-            }
-        }
-
-        // ---- Branch on the hardest row ---------------------------------
         // `reduce` left `covs` current, so both the covering counts and
         // the option list come straight off the scratch; the option Vec
-        // itself is pooled (popped here, pushed back cleared below)
+        // itself is pooled (handed back through `SearchCtx::recycle`)
         // instead of allocated per node.
         let branch_row = rows
             .iter()
@@ -870,23 +789,31 @@ impl CoverMatrix {
         let mut options = ctx.options_pool.pop().unwrap_or_default();
         options.extend(ctx.covs[branch_row].iter());
         options.sort_by(|&a, &b| self.weights[a].total_cmp(&self.weights[b]));
-        let mut excluded = cols;
-        for &c in &options {
-            // Any cover must use one of the covering columns; trying them
-            // in turn while excluding previously tried ones is complete
-            // and avoids revisiting symmetric solutions.
-            let mut sub_cols = excluded.clone();
-            let mut sub_rows = rows.clone();
-            sub_cols.remove(c);
-            sub_rows.subtract(&self.cols[c]);
-            ctx.chosen.push(c);
-            self.branch(sub_rows, sub_cols, cost + self.weights[c], ctx);
-            ctx.chosen.pop();
-            excluded.remove(c);
+        Some(Open {
+            rows,
+            cols,
+            cost,
+            options,
+        })
+    }
+
+    /// Searches the subtree below one node depth-first. Prunes only
+    /// against the *local* incumbent in `ctx` (never reading `shared`),
+    /// so the nodes, reductions, and prunes a given subtree records are
+    /// a pure function of its frame — identical under every schedule.
+    /// Local improvements are published to `shared` for other workers'
+    /// pickup-time skips.
+    fn branch(&self, rows: BitSet, cols: BitSet, cost: f64, ctx: &mut SearchCtx) {
+        let chosen_mark = ctx.chosen.len();
+        if let Some(mut node) = self.visit(rows, cols, cost, ctx) {
+            for (c, rows, cols, cost) in node.children(self) {
+                ctx.chosen.push(c);
+                self.branch(rows, cols, cost, ctx);
+                ctx.chosen.pop();
+            }
+            ctx.recycle(node.options);
         }
         ctx.chosen.truncate(chosen_mark);
-        options.clear();
-        ctx.options_pool.push(options);
     }
 
     /// Serially expands the root into independent subtree task frames:
@@ -924,89 +851,25 @@ impl CoverMatrix {
     /// here, at expansion time, so no pickup-time decision ever depends
     /// on the seed.
     fn expand_node(&self, frame: Frame, ctx: &mut SearchCtx, out: &mut Vec<Frame>) {
-        if ctx.budget == 0 {
-            ctx.stats.proven_optimal = false;
+        ctx.chosen = frame.chosen;
+        let Some(mut node) = self.visit(frame.rows, frame.cols, frame.cost, ctx) else {
             return;
-        }
-        ctx.budget -= 1;
-        ctx.stats.nodes += 1;
-        let Frame {
-            rows,
-            cols,
-            cost,
-            mut chosen,
-            ..
-        } = frame;
-        let (rows, cols, cost) =
-            match self.reduce(rows, cols, cost, &mut chosen, &mut ctx.stats, &mut ctx.covs) {
-                Reduced::DeadEnd => return,
-                Reduced::Covered(cost) => {
-                    if ctx.best.as_ref().is_none_or(|(bc, _)| cost < *bc) {
-                        ctx.best = Some((cost, chosen));
-                        ctx.stats.incumbent_updates += 1;
-                    }
-                    return;
-                }
-                Reduced::Open { rows, cols, cost } => (rows, cols, cost),
-            };
-
-        let mut lb_cache = None;
-        let mut lb_for = |rows: &BitSet, cols: &BitSet| {
-            *lb_cache.get_or_insert_with(|| self.dual_ascent_bound(rows, cols))
         };
-        if let Some((bc, _)) = &ctx.best {
-            let lb = lb_for(&rows, &cols);
-            if cost + lb >= *bc - 1e-12 {
-                ctx.stats.bound_prunes += 1;
-                return;
-            }
-        }
-        if let Some(s) = &mut ctx.seed {
-            let lb = lb_for(&rows, &cols);
-            if cost + lb > s.bound {
-                s.min_pruned = s.min_pruned.min(cost + lb);
-                ctx.stats.seed_prunes += 1;
-                return;
-            }
-        }
-
-        let branch_row = rows
-            .iter()
-            .min_by_key(|&r| ctx.covs[r].count())
-            .expect("rows non-empty");
-        let mut options: Vec<usize> = ctx.covs[branch_row].iter().collect();
-        options.sort_by(|&a, &b| self.weights[a].total_cmp(&self.weights[b]));
-        let mut excluded = cols;
-        for &c in &options {
-            let mut sub_cols = excluded.clone();
-            let mut sub_rows = rows.clone();
-            sub_cols.remove(c);
-            sub_rows.subtract(&self.cols[c]);
-            let sub_cost = cost + self.weights[c];
-            let bound = sub_cost + self.dual_ascent_bound(&sub_rows, &sub_cols);
-            if ctx
-                .best
-                .as_ref()
-                .is_some_and(|(bc, _)| bound >= *bc - 1e-12)
-            {
-                ctx.stats.bound_prunes += 1;
-            } else if ctx.seed.as_ref().is_some_and(|s| bound > s.bound) {
-                let s = ctx.seed.as_mut().expect("checked above");
-                s.min_pruned = s.min_pruned.min(bound);
-                ctx.stats.seed_prunes += 1;
-            } else {
-                let mut sub_chosen = chosen.clone();
-                sub_chosen.push(c);
+        for (c, rows, cols, cost) in node.children(self) {
+            let bound = cost + self.dual_ascent_bound(&rows, &cols);
+            if !ctx.prune(bound) {
+                let mut chosen = ctx.chosen.clone();
+                chosen.push(c);
                 out.push(Frame {
-                    rows: sub_rows,
-                    cols: sub_cols,
-                    cost: sub_cost,
-                    chosen: sub_chosen,
+                    rows,
+                    cols,
+                    cost,
+                    chosen,
                     bound,
                 });
             }
-            excluded.remove(c);
         }
+        ctx.recycle(node.options);
     }
 
     /// Runs one subtree task to completion (within its node budget)
@@ -1017,18 +880,16 @@ impl CoverMatrix {
         &self,
         frame: &Frame,
         budget: u64,
-        start: &Option<(f64, Vec<usize>)>,
+        start: &(f64, Vec<usize>),
         seed_bound: Option<f64>,
         shared: Option<&SharedBound>,
     ) -> SubtreeOut {
-        let mut ctx = SearchCtx::new(self, budget, seed_bound);
-        ctx.best = start.clone();
+        let mut ctx = SearchCtx::new(self, budget, seed_bound, start.clone());
         ctx.chosen = frame.chosen.clone();
         ctx.shared = shared;
         self.branch(frame.rows.clone(), frame.cols.clone(), frame.cost, &mut ctx);
         SubtreeOut {
-            best: (ctx.stats.incumbent_updates > 0)
-                .then(|| ctx.best.expect("an incumbent update implies a best")),
+            best: (ctx.stats.incumbent_updates > 0).then_some(ctx.best),
             stats: ctx.stats,
             min_pruned: ctx.seed.map_or(f64::INFINITY, |s| s.min_pruned),
             ran: true,
@@ -1098,7 +959,7 @@ const MIN_SUBTREE_TASKS: usize = 8;
 /// Relative dead band around a bound `b` inside which floating-point
 /// comparisons against it are not trustworthy (a few ulps of summation
 /// noise on large weights); scales with the magnitude, see
-/// [`CoverMatrix::solve_exact_seeded`].
+/// [`Search::Complete`].
 fn band(b: f64) -> f64 {
     1e-9 * b.abs().max(1.0)
 }
@@ -1115,6 +976,41 @@ enum Reduced {
         cols: BitSet,
         cost: f64,
     },
+}
+
+/// A node that survived its [visit](CoverMatrix::visit): what is left
+/// to cover and the columns to branch on.
+struct Open {
+    rows: BitSet,
+    cols: BitSet,
+    cost: f64,
+    /// Active columns covering the branch row, cheapest first.
+    options: Vec<usize>,
+}
+
+impl Open {
+    /// The children in branch order as `(column, rows, cols, cost)`:
+    /// child `i` takes option `i` and excludes options `0..i`. Any
+    /// cover must use one of the covering columns, so trying them in
+    /// turn while excluding the ones already tried is complete and
+    /// never revisits a solution.
+    fn children<'a>(
+        &'a mut self,
+        m: &'a CoverMatrix,
+    ) -> impl Iterator<Item = (usize, BitSet, BitSet, f64)> + 'a {
+        let Open {
+            rows,
+            cols,
+            cost,
+            options,
+        } = self;
+        options.iter().map(move |&c| {
+            cols.remove(c);
+            let mut sub_rows = rows.clone();
+            sub_rows.subtract(&m.cols[c]);
+            (c, sub_rows, cols.clone(), *cost + m.weights[c])
+        })
+    }
 }
 
 /// One independent subtree task produced by root expansion.
@@ -1161,7 +1057,8 @@ impl SubtreeOut {
 /// and every subtree task gets its own, so nothing here is ever shared
 /// between workers.
 struct SearchCtx<'a> {
-    best: Option<(f64, Vec<usize>)>,
+    /// The incumbent: the cheapest cover found so far (cost, columns).
+    best: (f64, Vec<usize>),
     stats: SolveStats,
     budget: u64,
     seed: Option<SeedPrune>,
@@ -1180,9 +1077,14 @@ struct SearchCtx<'a> {
 }
 
 impl<'a> SearchCtx<'a> {
-    fn new(m: &CoverMatrix, budget: u64, seed_bound: Option<f64>) -> SearchCtx<'a> {
+    fn new(
+        m: &CoverMatrix,
+        budget: u64,
+        seed_bound: Option<f64>,
+        best: (f64, Vec<usize>),
+    ) -> SearchCtx<'a> {
         SearchCtx {
-            best: None,
+            best,
             stats: SolveStats {
                 proven_optimal: true,
                 ..SolveStats::default()
@@ -1197,6 +1099,34 @@ impl<'a> SearchCtx<'a> {
             options_pool: Vec::new(),
             shared: None,
         }
+    }
+
+    /// Decides whether a subtree whose every solution costs at least
+    /// `bound` dies, and counts the prune. The incumbent prune comes
+    /// first; the warm-start prune only ever adds to it. That one is
+    /// strict (`>`): with `seed.bound` the cost of a known feasible
+    /// cover, a subtree whose every solution costs strictly more can
+    /// never contain the answer, but an exact tie with the seed must
+    /// still be explored because the unseeded search would explore it.
+    fn prune(&mut self, bound: f64) -> bool {
+        if bound >= self.best.0 - 1e-12 {
+            self.stats.bound_prunes += 1;
+            return true;
+        }
+        if let Some(s) = &mut self.seed {
+            if bound > s.bound {
+                s.min_pruned = s.min_pruned.min(bound);
+                self.stats.seed_prunes += 1;
+                return true;
+            }
+        }
+        false
+    }
+
+    /// Returns a branch-option list to the pool.
+    fn recycle(&mut self, mut options: Vec<usize>) {
+        options.clear();
+        self.options_pool.push(options);
     }
 }
 
@@ -1235,21 +1165,25 @@ impl SharedBound {
     }
 }
 
-fn first_uncoverable(m: &CoverMatrix) -> usize {
-    (0..m.n_rows)
-        .find(|&r| m.cols.iter().all(|c| !c.contains(r)))
-        .unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    const COLD: Search<'static> = Search::Complete { seed: None };
+
+    fn solve(m: &CoverMatrix, search: Search<'_>) -> Result<(Cover, SolveStats), CoverError> {
+        m.solve(search, &Executor::serial())
+    }
+
+    fn exact(m: &CoverMatrix) -> Result<Cover, CoverError> {
+        solve(m, COLD).map(|(c, _)| c)
+    }
+
     #[test]
     fn empty_matrix_has_empty_cover() {
         let m = CoverMatrix::new(0);
-        let c = m.solve_exact().unwrap();
+        let c = exact(&m).unwrap();
         assert!(c.columns.is_empty());
         assert_eq!(c.cost, 0.0);
         assert!(m.solve_greedy().unwrap().columns.is_empty());
@@ -1260,7 +1194,7 @@ mod tests {
     fn single_row_single_column() {
         let mut m = CoverMatrix::new(1);
         m.add_column(3.0, [0]);
-        let c = m.solve_exact().unwrap();
+        let c = exact(&m).unwrap();
         assert_eq!(c.columns, vec![0]);
         assert_eq!(c.cost, 3.0);
     }
@@ -1269,7 +1203,7 @@ mod tests {
     fn infeasible_row_reported() {
         let mut m = CoverMatrix::new(2);
         m.add_column(1.0, [0]);
-        assert_eq!(m.solve_exact(), Err(CoverError::Infeasible(1)));
+        assert_eq!(exact(&m), Err(CoverError::Infeasible(1)));
         assert_eq!(m.solve_greedy(), Err(CoverError::Infeasible(1)));
         assert_eq!(m.solve_exhaustive(), Err(CoverError::Infeasible(1)));
     }
@@ -1281,7 +1215,7 @@ mod tests {
         m.add_column(2.0, [1]);
         m.add_column(2.0, [2]);
         m.add_column(7.0, [0, 1, 2]);
-        let c = m.solve_exact().unwrap();
+        let c = exact(&m).unwrap();
         assert_eq!(c.columns, vec![0, 1, 2]);
         assert_eq!(c.cost, 6.0);
     }
@@ -1293,7 +1227,7 @@ mod tests {
         m.add_column(3.0, [1]);
         m.add_column(3.0, [2]);
         m.add_column(7.0, [0, 1, 2]);
-        let c = m.solve_exact().unwrap();
+        let c = exact(&m).unwrap();
         assert_eq!(c.columns, vec![3]);
         assert_eq!(c.cost, 7.0);
     }
@@ -1307,7 +1241,7 @@ mod tests {
         m.add_column(1.0, [2, 3]);
         let g = m.solve_greedy().unwrap();
         assert!(m.validate_cover(&g.columns).is_ok());
-        let e = m.solve_exact().unwrap();
+        let e = exact(&m).unwrap();
         assert_eq!(e.cost, 3.0);
         assert!(g.cost >= e.cost);
     }
@@ -1350,12 +1284,12 @@ mod tests {
         m.add_column(3.0, [1]);
         m.add_column(3.0, [2]);
         m.add_column(7.0, [0, 1, 2]); // optimal when present
-        assert_eq!(m.solve_exact().unwrap().columns, vec![3]);
+        assert_eq!(exact(&m).unwrap().columns, vec![3]);
 
         let (sub, map) = m.without_columns(&[3]);
         assert_eq!(sub.n_cols(), 3);
         assert_eq!(map, vec![0, 1, 2]);
-        let c = sub.solve_exact().unwrap();
+        let c = exact(&sub).unwrap();
         assert_eq!(c.cost, 9.0);
         let original: Vec<usize> = c.columns.iter().map(|&i| map[i]).collect();
         assert_eq!(original, vec![0, 1, 2]);
@@ -1370,7 +1304,7 @@ mod tests {
         m.add_column(1.0, [1]);
         let (sub, map) = m.without_columns(&[1]);
         assert_eq!(map, vec![0]);
-        assert_eq!(sub.solve_exact(), Err(CoverError::Infeasible(1)));
+        assert_eq!(exact(&sub), Err(CoverError::Infeasible(1)));
     }
 
     #[test]
@@ -1380,7 +1314,7 @@ mod tests {
         m.add_column(2.0, [0]);
         let (sub, map) = m.without_columns(&[0, 0]);
         assert_eq!(map, vec![1]);
-        assert_eq!(sub.solve_exact().unwrap().cost, 2.0);
+        assert_eq!(exact(&sub).unwrap().cost, 2.0);
     }
 
     #[test]
@@ -1396,7 +1330,7 @@ mod tests {
         let mut m = CoverMatrix::new(2);
         m.add_column(1.0, [0]); // essential for row 0
         m.add_column(1.0, [1]); // essential for row 1
-        let (c, stats) = m.solve_exact_with_stats().unwrap();
+        let (c, stats) = solve(&m, COLD).unwrap();
         assert_eq!(c.cost, 2.0);
         assert!(stats.essentials >= 1);
         assert!(stats.nodes >= 1);
@@ -1411,7 +1345,7 @@ mod tests {
         for r in 0..6 {
             m.add_column(1.0 + (r % 3) as f64 * 0.1, [r, (r + 1) % 6]);
         }
-        let (c, stats) = m.solve_exact_with_stats().unwrap();
+        let (c, stats) = solve(&m, COLD).unwrap();
         assert_eq!(c.columns.len(), 3);
         assert!(stats.subtrees > 0, "{stats:?}");
         assert!(stats.busy > std::time::Duration::ZERO, "{stats:?}");
@@ -1425,7 +1359,7 @@ mod tests {
         let mut m = CoverMatrix::new(2);
         m.add_column(4.0, [0, 1]);
         m.add_column(4.0, [0, 1]);
-        let c = m.solve_exact().unwrap();
+        let c = exact(&m).unwrap();
         assert_eq!(c.columns.len(), 1);
         assert_eq!(c.cost, 4.0);
     }
@@ -1435,7 +1369,7 @@ mod tests {
         let mut m = CoverMatrix::new(1);
         m.add_column(0.1, std::iter::empty());
         m.add_column(5.0, [0]);
-        let c = m.solve_exact().unwrap();
+        let c = exact(&m).unwrap();
         assert_eq!(c.columns, vec![1]);
     }
 
@@ -1445,11 +1379,13 @@ mod tests {
         m.add_column(3.5, [0, 1, 2, 3]);
         m.add_column(2.0, [0, 1]);
         m.add_column(1.0, [2, 3]);
-        let (cover, stats) = m.solve_anytime(0).unwrap();
+        let (cover, stats) = solve(&m, Search::Budget(0)).unwrap();
         assert!(!stats.proven_optimal);
         assert!(m.validate_cover(&cover.columns).is_ok());
-        // Zero exploration → the greedy seed comes back.
+        // Zero exploration → the greedy seed comes back, and the stats
+        // report its cost without a second greedy solve.
         assert_eq!(cover.cost, m.solve_greedy().unwrap().cost);
+        assert_eq!(stats.greedy_cost.to_bits(), cover.cost.to_bits());
     }
 
     #[test]
@@ -1459,7 +1395,7 @@ mod tests {
         m.add_column(2.0, [1]);
         m.add_column(2.0, [2]);
         m.add_column(7.0, [0, 1, 2]);
-        let (cover, stats) = m.solve_anytime(u64::MAX).unwrap();
+        let (cover, stats) = solve(&m, Search::Budget(u64::MAX)).unwrap();
         assert!(stats.proven_optimal);
         assert_eq!(cover.cost, 6.0);
     }
@@ -1477,7 +1413,7 @@ mod tests {
         m.add_column(9.0, [1, 3, 5]);
         let mut last = f64::INFINITY;
         for budget in [0u64, 2, 8, 32, 1 << 20] {
-            let (cover, _) = m.solve_anytime(budget).unwrap();
+            let (cover, _) = solve(&m, Search::Budget(budget)).unwrap();
             assert!(cover.cost <= last + 1e-9, "budget {budget} regressed");
             last = cover.cost;
         }
@@ -1490,14 +1426,20 @@ mod tests {
         m.add_column(3.5, [0, 1, 2, 3]);
         m.add_column(2.0, [0, 1]);
         m.add_column(1.0, [2, 3]);
-        let (cold, _) = m.solve_exact_with_stats().unwrap();
+        let (cold, _) = solve(&m, COLD).unwrap();
         // Seed with the optimum itself: identical cover back.
-        let (warm, warm_stats) = m.solve_exact_seeded(&cold.columns).unwrap();
+        let (warm, warm_stats) = solve(
+            &m,
+            Search::Complete {
+                seed: Some(&cold.columns),
+            },
+        )
+        .unwrap();
         assert_eq!(warm.columns, cold.columns);
         assert_eq!(warm.cost.to_bits(), cold.cost.to_bits());
         assert!(warm_stats.proven_optimal);
         // Seed with a valid but worse cover: still identical.
-        let (warm2, _) = m.solve_exact_seeded(&[0]).unwrap();
+        let (warm2, _) = solve(&m, Search::Complete { seed: Some(&[0]) }).unwrap();
         assert_eq!(warm2.columns, cold.columns);
     }
 
@@ -1506,13 +1448,13 @@ mod tests {
         let mut m = CoverMatrix::new(2);
         m.add_column(1.0, [0]);
         m.add_column(1.0, [1]);
-        let (cold, _) = m.solve_exact_with_stats().unwrap();
+        let (cold, _) = solve(&m, COLD).unwrap();
         // Not a cover (misses row 1) and an out-of-range column: both
         // fall back to the plain solve instead of erroring.
-        let (a, s) = m.solve_exact_seeded(&[0]).unwrap();
+        let (a, s) = solve(&m, Search::Complete { seed: Some(&[0]) }).unwrap();
         assert_eq!(a.columns, cold.columns);
         assert_eq!(s.seed_prunes, 0);
-        let (b, _) = m.solve_exact_seeded(&[99]).unwrap();
+        let (b, _) = solve(&m, Search::Complete { seed: Some(&[99]) }).unwrap();
         assert_eq!(b.columns, cold.columns);
     }
 
@@ -1541,7 +1483,7 @@ mod tests {
         /// Exact solver matches the exhaustive oracle on random instances.
         #[test]
         fn exact_matches_oracle(m in random_instance()) {
-            match (m.solve_exact(), m.solve_exhaustive()) {
+            match (exact(&m), m.solve_exhaustive()) {
                 (Ok(e), Ok(o)) => {
                     // Relative tolerance: at million-scale weights a few
                     // ulps of summation noise exceed any absolute epsilon.
@@ -1559,7 +1501,7 @@ mod tests {
         fn greedy_valid_and_no_better_than_exact(m in random_instance()) {
             if let Ok(g) = m.solve_greedy() {
                 prop_assert!(m.validate_cover(&g.columns).is_ok());
-                let e = m.solve_exact().unwrap();
+                let e = exact(&m).unwrap();
                 prop_assert!(g.cost >= e.cost - 1e-9 * e.cost.abs().max(1.0));
             }
         }
@@ -1570,9 +1512,9 @@ mod tests {
         #[test]
         fn seeded_is_bit_identical_to_unseeded(m in random_instance()) {
             if let Ok(g) = m.solve_greedy() {
-                let (cold, _) = m.solve_exact_with_stats().unwrap();
+                let (cold, _) = solve(&m, COLD).unwrap();
                 for seed in [&g.columns, &cold.columns] {
-                    let (warm, _) = m.solve_exact_seeded(seed).unwrap();
+                    let (warm, _) = solve(&m, Search::Complete { seed: Some(seed) }).unwrap();
                     prop_assert_eq!(&warm.columns, &cold.columns);
                     prop_assert_eq!(warm.cost.to_bits(), cold.cost.to_bits());
                 }

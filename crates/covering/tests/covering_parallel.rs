@@ -8,11 +8,13 @@
 //! in `steals`/`busy`/`dominance_ns`, which `SolveStats`' equality
 //! ignores.
 
-use ccs_covering::{CoverMatrix, SolveStats};
+use ccs_covering::{CoverMatrix, Search, SolveStats};
 use ccs_exec::Executor;
 use proptest::prelude::*;
 
 const THREADS: [usize; 3] = [1, 2, 4];
+
+const COLD: Search<'static> = Search::Complete { seed: None };
 
 /// Random instances sized to actually branch (several rows, overlapping
 /// columns) in two weight regimes — unit scale and million scale — so
@@ -55,21 +57,21 @@ proptest! {
     /// thread count.
     #[test]
     fn exact_is_thread_count_invariant(m in random_instance()) {
-        match m.solve_exact_with_stats_on(&Executor::new(1)) {
+        match m.solve(COLD, &Executor::new(1)) {
             Ok(reference) => {
                 for t in THREADS {
-                    let got = m.solve_exact_with_stats_on(&Executor::new(t)).unwrap();
+                    let got = m.solve(COLD, &Executor::new(t)).unwrap();
                     assert_identical(&format!("threads={t}"), &reference, &got);
                 }
-                // The executor-less API is the serial executor.
-                let plain = m.solve_exact_with_stats().unwrap();
-                assert_identical("plain", &reference, &plain);
+                // The serial executor is the one-worker pool.
+                let plain = m.solve(COLD, &Executor::serial()).unwrap();
+                assert_identical("serial", &reference, &plain);
             }
             Err(e) => {
                 // Infeasible instances must fail identically everywhere.
                 for t in THREADS {
                     prop_assert_eq!(
-                        m.solve_exact_with_stats_on(&Executor::new(t)).unwrap_err(),
+                        m.solve(COLD, &Executor::new(t)).unwrap_err(),
                         e.clone()
                     );
                 }
@@ -81,14 +83,14 @@ proptest! {
     /// with both a greedy seed and the optimum itself.
     #[test]
     fn seeded_is_thread_count_invariant(m in random_instance()) {
-        if let Ok(cold) = m.solve_exact_with_stats_on(&Executor::new(1)) {
+        if let Ok(cold) = m.solve(COLD, &Executor::new(1)) {
             let greedy = m.solve_greedy().unwrap();
             for seed in [&greedy.columns, &cold.0.columns] {
-                let warm1 = m.solve_exact_seeded_on(seed, &Executor::new(1)).unwrap();
+                let warm1 = m.solve(Search::Complete { seed: Some(seed) }, &Executor::new(1)).unwrap();
                 prop_assert_eq!(&warm1.0.columns, &cold.0.columns);
                 prop_assert_eq!(warm1.0.cost.to_bits(), cold.0.cost.to_bits());
                 for t in THREADS {
-                    let got = m.solve_exact_seeded_on(seed, &Executor::new(t)).unwrap();
+                    let got = m.solve(Search::Complete { seed: Some(seed) }, &Executor::new(t)).unwrap();
                     assert_identical(&format!("seeded threads={t}"), &warm1, &got);
                 }
             }
@@ -103,9 +105,9 @@ proptest! {
         if m.solve_greedy().is_ok() {
             let mut last = f64::INFINITY;
             for budget in [0u64, 3, 10, 100, u64::MAX] {
-                let reference = m.solve_anytime_on(budget, &Executor::new(1)).unwrap();
+                let reference = m.solve(Search::Budget(budget), &Executor::new(1)).unwrap();
                 for t in THREADS {
-                    let got = m.solve_anytime_on(budget, &Executor::new(t)).unwrap();
+                    let got = m.solve(Search::Budget(budget), &Executor::new(t)).unwrap();
                     assert_identical(&format!("budget={budget} threads={t}"), &reference, &got);
                 }
                 prop_assert!(
@@ -133,7 +135,7 @@ fn structured_instance_spawns_subtrees_and_stays_identical() {
             w += 1;
         }
     }
-    let reference = m.solve_exact_with_stats_on(&Executor::new(1)).unwrap();
+    let reference = m.solve(COLD, &Executor::new(1)).unwrap();
     assert!(
         reference.1.subtrees > 0,
         "expected a real root split, got {:?}",
@@ -141,7 +143,7 @@ fn structured_instance_spawns_subtrees_and_stays_identical() {
     );
     assert!(reference.1.proven_optimal);
     for t in [2usize, 4, 8] {
-        let got = m.solve_exact_with_stats_on(&Executor::new(t)).unwrap();
+        let got = m.solve(COLD, &Executor::new(t)).unwrap();
         assert_eq!(got.0.columns, reference.0.columns);
         assert_eq!(got.0.cost.to_bits(), reference.0.cost.to_bits());
         assert_eq!(got.1, reference.1);

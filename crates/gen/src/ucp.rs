@@ -78,6 +78,10 @@ pub fn odd_cycles_padded(cycles: usize, len: usize, pad: usize) -> CoverMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ccs_covering::Search;
+    use ccs_exec::Executor;
+
+    const COLD: Search<'static> = Search::Complete { seed: None };
 
     #[test]
     fn instance_shape_and_feasibility() {
@@ -92,7 +96,7 @@ mod tests {
     #[test]
     fn exact_optimum_is_ceil_half_per_cycle() {
         let m = odd_cycles(2, 5);
-        let (cover, stats) = m.solve_exact_with_stats().expect("solvable");
+        let (cover, stats) = m.solve(COLD, &Executor::serial()).expect("solvable");
         assert_eq!(cover.columns.len(), 6); // 2 * ceil(5/2)
         assert!(stats.proven_optimal);
         // The integrality gap forces real branching.
@@ -104,13 +108,15 @@ mod tests {
         let padded = odd_cycles_padded(2, 5, 40);
         assert_eq!(padded.n_rows(), 50);
         assert_eq!(padded.n_cols(), 50);
-        let (cover, stats) = padded.solve_exact_with_stats().expect("solvable");
+        let (cover, stats) = padded.solve(COLD, &Executor::serial()).expect("solvable");
         // All padding columns are essential plus the cyclic optimum.
         assert_eq!(cover.columns.len(), 40 + 6);
         assert!(stats.proven_optimal);
         assert!(stats.essentials >= 40);
         // The padded instance branches exactly like the bare core.
-        let (_, bare) = odd_cycles(2, 5).solve_exact_with_stats().expect("solvable");
+        let (_, bare) = odd_cycles(2, 5)
+            .solve(COLD, &Executor::serial())
+            .expect("solvable");
         assert_eq!(stats.subtrees, bare.subtrees);
     }
 

@@ -2035,6 +2035,57 @@ mod tests {
     }
 
     #[test]
+    fn overflowing_cost_errors_and_the_worker_serves_the_next_request() {
+        // 1e300 per unit length over a 1e10 link: a finite library whose
+        // candidate cost overflows to `inf`.
+        let mut obj = BTreeMap::new();
+        obj.insert("schema".to_string(), Value::Str(REQUEST_SCHEMA.to_string()));
+        obj.insert("id".to_string(), Value::Str("overflow".to_string()));
+        obj.insert("kind".to_string(), Value::Str("synth".to_string()));
+        obj.insert(
+            "instance".to_string(),
+            Value::Str(
+                "ccs-instance v1\nnorm euclidean\nport a 0 0\nport b 1e10 0\nchannel 0 1 5\n"
+                    .to_string(),
+            ),
+        );
+        obj.insert(
+            "library".to_string(),
+            Value::Str(
+                "ccs-library v1\nsegmentation minimal\nlink radio 11 inf per-length 1e300\n\
+                 node repeater 0\nnode mux 0\nnode demux 0\n"
+                    .to_string(),
+            ),
+        );
+        let mut bad = String::new();
+        Value::Obj(obj).write_compact(&mut bad);
+
+        let engine = Engine::new(&ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        });
+        let sink = VecSink::new();
+        let dyn_sink: Arc<dyn ResponseSink> = sink.clone();
+        assert_eq!(engine.submit_line(&bad, &dyn_sink), Submit::Queued);
+        assert_eq!(
+            engine.submit_line(&synth_line("next", 3), &dyn_sink),
+            Submit::Queued
+        );
+        engine.close();
+        engine.worker_loop();
+        let docs = sink.parsed();
+        assert_eq!(docs.len(), 2);
+        assert_eq!(docs[0].get("id").unwrap().as_str(), Some("overflow"));
+        assert_eq!(docs[0].get("status").unwrap().as_str(), Some("error"));
+        let error = docs[0].get("error").and_then(Value::as_str).unwrap();
+        assert!(error.contains("column weight inf"), "{error}");
+        assert_eq!(docs[1].get("id").unwrap().as_str(), Some("next"));
+        assert_eq!(docs[1].get("status").unwrap().as_str(), Some("ok"));
+        let s = engine.summary();
+        assert_eq!((s.errors, s.served), (1, 1));
+    }
+
+    #[test]
     fn cancelled_queued_request_has_no_body() {
         let engine = Engine::new(&ServeConfig::default());
         let sink = VecSink::new();

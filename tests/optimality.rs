@@ -211,6 +211,7 @@ fn anytime_cover_is_valid_and_monotone_under_node_budgets() {
     // budget must never make the incumbent worse: the search order is
     // deterministic, so a larger budget explores a superset of nodes.
     use ccs::core::cover::build_matrix;
+    use ccs::covering::Search;
     let g = clustered_wan(&ClusteredWanConfig {
         clusters: 3,
         nodes_per_cluster: 3,
@@ -221,12 +222,17 @@ fn anytime_cover_is_valid_and_monotone_under_node_budgets() {
     let lib = wan::paper_library();
     let r = Synthesizer::new(&g, &lib).run().expect("pipeline");
     let m = build_matrix(&r.candidates, g.arc_count());
-    let exact = m.solve_exact().expect("exact cover");
+    let exec = ccs::exec::Executor::serial();
+    let (exact, _) = m
+        .solve(Search::Complete { seed: None }, &exec)
+        .expect("exact cover");
 
     let mut prev = f64::INFINITY;
     let mut saw_unproven = false;
     for budget in [0u64, 1, 2, 4, 8, 32, 128, 1024, u64::MAX] {
-        let (cover, stats) = m.solve_anytime(budget).expect("anytime cover");
+        let (cover, stats) = m
+            .solve(Search::Budget(budget), &exec)
+            .expect("anytime cover");
         let validated_cost = m
             .validate_cover(&cover.columns)
             .unwrap_or_else(|e| panic!("budget {budget}: invalid cover: {e:?}"));

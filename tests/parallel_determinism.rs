@@ -137,3 +137,45 @@ fn exec_counters_present_but_steals_excluded() {
     assert!(r.stats.counters.contains_key("covering.subtrees"));
     assert!(!r.stats.counters.contains_key("covering.steals"));
 }
+
+/// Pins the covering search on a seeded SoC floorplan, the workload
+/// where branch-and-bound dominates the run: the cover's cost bits and
+/// the deterministic search counters must not move, at one worker or
+/// two. A change to node visiting, bounding or pruning order shows up
+/// here before it shows up in a benchmark.
+#[test]
+fn soc_covering_search_is_pinned() {
+    use ccs::gen::random::{soc_floorplan, SocConfig};
+    let g = soc_floorplan(&SocConfig {
+        seed: 7,
+        channels: 14,
+        ..SocConfig::default()
+    });
+    let lib = ccs::gen::mpeg4::paper_library();
+    for threads in [1usize, 2] {
+        let sc = SynthesisConfig {
+            threads,
+            ..SynthesisConfig::default()
+        };
+        let r = Synthesizer::new(&g, &lib)
+            .with_config(sc)
+            .run()
+            .expect("synthesis");
+        let s = r.stats.ucp_stats.expect("exact covering reports stats");
+        let cost: f64 = r.selected.iter().map(|c| c.cost).sum();
+        // A stronger bound may lower the node and prune counts (update
+        // them with that change); the cost bits must never move.
+        assert_eq!(cost.to_bits(), 0x4048_8000_0000_0000, "threads={threads}");
+        assert_eq!(r.stats.ucp_cols, 133, "threads={threads}");
+        let counters = [
+            ("bnb_nodes", s.nodes, 1548),
+            ("bound_prunes", s.bound_prunes, 1288),
+            ("subtrees", s.subtrees, 7),
+            ("essentials", s.essentials, 94),
+            ("incumbent_updates", s.incumbent_updates, 7),
+        ];
+        for (name, got, want) in counters {
+            assert_eq!(got, want, "covering.{name} moved at threads={threads}");
+        }
+    }
+}

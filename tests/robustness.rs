@@ -309,3 +309,33 @@ fn overflowing_port_distance_is_a_typed_error_in_cli_and_serve() {
     let summary = engine.summary();
     assert_eq!((summary.errors, summary.served), (1, 1));
 }
+
+#[test]
+fn overflowing_candidate_cost_is_a_typed_error() {
+    // Every number is finite, but 1e300 per unit length over a 1e10
+    // link overflows the point-to-point candidate's cost to `inf`.
+    let lib = "ccs-library v1\nsegmentation minimal\nlink radio 11 inf per-length 1e300\n\
+               node repeater 0\nnode mux 0\nnode demux 0\n";
+    let inst = "ccs-instance v1\nnorm euclidean\nport a 0 0\nport b 1e10 0\nchannel 0 1 5\n";
+    let dir = std::env::temp_dir().join(format!("ccs-robustness-cost-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (inst_path, lib_path) = (dir.join("inst.ccs"), dir.join("lib.ccs"));
+    std::fs::write(&inst_path, inst).unwrap();
+    std::fs::write(&lib_path, lib).unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_ccs"))
+        .arg("synth")
+        .arg("--instance")
+        .arg(&inst_path)
+        .arg("--library")
+        .arg(&lib_path)
+        .output()
+        .expect("ccs runs");
+    let _ = std::fs::remove_dir_all(&dir);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(
+        stderr.contains("column weight inf is not strictly positive and finite"),
+        "stderr: {stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+}
