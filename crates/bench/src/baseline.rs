@@ -181,6 +181,18 @@ fn cases_for(preset: &str) -> Result<Vec<Case>, String> {
     }
 }
 
+/// A covering solve's schedule-independent counters: the solver's own
+/// [`ccs_covering::SolveStats::counters`] plus `covering.proven_optimal`.
+pub fn covering_counters(stats: &ccs_covering::SolveStats) -> BTreeMap<String, u64> {
+    let proven = ("covering.proven_optimal", u64::from(stats.proven_optimal));
+    stats
+        .counters()
+        .into_iter()
+        .chain([proven])
+        .map(|(name, value)| (name.to_string(), value))
+        .collect()
+}
+
 /// The parallel-covering workload's matrix: disjoint odd cycles (a real
 /// integrality gap, so the solver branches) padded with singleton rows
 /// past the 1k-column mark. Shared between the `covering_par` bench
@@ -297,19 +309,7 @@ fn run_case(case: &Case, threads: usize) -> Result<CaseRun, String> {
                 .solve(ccs_covering::Search::Complete { seed: None }, &exec)
                 .map_err(|e| format!("{}: {e}", case.name))?;
             std::hint::black_box(&cover);
-            let mut counters = BTreeMap::new();
-            counters.insert("covering.bnb_nodes".to_string(), stats.nodes);
-            counters.insert("covering.subtrees".to_string(), stats.subtrees);
-            counters.insert(
-                "covering.shared_bound_tightenings".to_string(),
-                stats.shared_bound_tightenings,
-            );
-            counters.insert("covering.bound_prunes".to_string(), stats.bound_prunes);
-            counters.insert(
-                "covering.proven_optimal".to_string(),
-                u64::from(stats.proven_optimal),
-            );
-            Ok(CaseRun::counters(counters))
+            Ok(CaseRun::counters(covering_counters(&stats)))
         }
     }
 }

@@ -224,23 +224,10 @@ fn cmd_covering<'a>(mut it: impl Iterator<Item = &'a str>) -> Result<i32, String
         "cost_bits".to_string(),
         Value::Str(format!("{:016x}", cover.cost.to_bits())),
     );
-    // Schedule-independent counters only — `steals` and `dominance_ns`
-    // legitimately vary run to run and would break the byte-diff.
-    let counters: [(&str, u64); 10] = [
-        ("covering.bnb_nodes", stats.nodes),
-        ("covering.essentials", stats.essentials),
-        ("covering.dominated_columns", stats.dominated_columns),
-        ("covering.dominated_rows", stats.dominated_rows),
-        ("covering.bound_prunes", stats.bound_prunes),
-        ("covering.seed_prunes", stats.seed_prunes),
-        ("covering.incumbent_updates", stats.incumbent_updates),
-        ("covering.subtrees", stats.subtrees),
-        (
-            "covering.shared_bound_tightenings",
-            stats.shared_bound_tightenings,
-        ),
-        ("covering.proven_optimal", u64::from(stats.proven_optimal)),
-    ];
+    // Schedule-independent counters only — steal counts and
+    // `dominance_ns` legitimately vary run to run and would break the
+    // byte-diff.
+    let counters = baseline::covering_counters(&stats);
     let mut doc = BTreeMap::new();
     doc.insert(
         "schema".to_string(),
@@ -251,8 +238,8 @@ fn cmd_covering<'a>(mut it: impl Iterator<Item = &'a str>) -> Result<i32, String
         "counters".to_string(),
         Value::Obj(
             counters
-                .iter()
-                .map(|&(k, v)| (k.to_string(), Value::Num(v as f64)))
+                .into_iter()
+                .map(|(k, v)| (k, Value::Num(v as f64)))
                 .collect(),
         ),
     );

@@ -3,8 +3,8 @@
 //!
 //! Each function in [`experiments`] produces a self-contained textual
 //! report (paper-expected vs measured where applicable); the `report`
-//! binary dispatches on experiment ids, and the criterion benches reuse
-//! the same code paths for timing.
+//! binary dispatches on experiment ids, and [`baseline`] times the same
+//! code paths for the `ccs-bench` perf gate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -43,6 +43,20 @@ pub struct CoverOutcome {
     pub stats: Option<SolveStats>,
 }
 
+impl CoverOutcome {
+    /// The step's deterministic counters: the matrix shape, then
+    /// [`SolveStats::counters`] when the exact solver ran. The recorder
+    /// stream and the synthesis run record both derive from this list.
+    pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        [
+            ("covering.rows", self.rows as u64),
+            ("covering.cols", self.cols as u64),
+        ]
+        .into_iter()
+        .chain(self.stats.iter().flat_map(SolveStats::counters))
+    }
+}
+
 /// Floor for column weights: Assumption 2.1 demands strictly positive
 /// costs, and the UCP solver enforces it; free candidates (e.g. an
 /// on-chip wire below critical length) are clamped to this.
@@ -69,7 +83,7 @@ pub fn build_matrix(candidates: &[Candidate], n_arcs: usize) -> CoverMatrix {
 /// the executor's workers race through under a shared incumbent bound.
 /// The returned selection, ledger events, and deterministic statistics
 /// are byte-identical at every worker count — only wall clock and the
-/// scheduling-dependent [`SolveStats::steals`]/
+/// scheduling-dependent [`SolveStats::exec`]/
 /// [`SolveStats::dominance_ns`] fields vary.
 ///
 /// `seed` warm-starts the exact solver from the candidate indices of a
@@ -172,25 +186,24 @@ where
         None => (m.solve_greedy()?, None),
     };
     drop(profile_solve);
+    // Map submatrix columns back to original candidate indices and
+    // report the true candidate cost sum (unclamped).
+    let selected: Vec<usize> = cover.columns.iter().map(|&i| map[i]).collect();
+    let outcome = CoverOutcome {
+        cost: selected.iter().map(|&i| candidates[i].cost).sum(),
+        selected,
+        rows: m.n_rows(),
+        cols: m.n_cols(),
+        stats,
+    };
     if ccs_obs::enabled() {
-        ccs_obs::counter("covering.rows", m.n_rows() as u64);
-        ccs_obs::counter("covering.cols", m.n_cols() as u64);
+        for (name, value) in outcome.counters() {
+            ccs_obs::counter(name, value);
+        }
         if let Some(s) = &stats {
-            ccs_obs::counter("covering.bnb_nodes", s.nodes);
-            ccs_obs::counter("covering.essentials", s.essentials);
-            ccs_obs::counter("covering.dominated_columns", s.dominated_columns);
-            ccs_obs::counter("covering.dominated_rows", s.dominated_rows);
-            ccs_obs::counter("covering.bound_prunes", s.bound_prunes);
-            ccs_obs::counter("covering.seed_prunes", s.seed_prunes);
-            ccs_obs::counter("covering.incumbent_updates", s.incumbent_updates);
-            ccs_obs::counter("covering.subtrees", s.subtrees);
-            ccs_obs::counter(
-                "covering.shared_bound_tightenings",
-                s.shared_bound_tightenings,
-            );
             // Work-stealing count is scheduling-dependent (informational
             // in metrics diffs); dominance time is a wall-clock gauge.
-            ccs_obs::counter("covering.steals", s.steals);
+            ccs_obs::counter("covering.steals", s.exec.steals);
             ccs_obs::gauge("covering.dominance_ns", s.dominance_ns as f64);
             // How far off the greedy heuristic — the search's starting
             // incumbent — would have been.
@@ -199,10 +212,6 @@ where
             }
         }
     }
-    // Map submatrix columns back to original candidate indices and
-    // report the true candidate cost sum (unclamped).
-    let selected: Vec<usize> = cover.columns.iter().map(|&i| map[i]).collect();
-    let cost = selected.iter().map(|&i| candidates[i].cost).sum();
     if ledger::enabled() {
         // Provenance: one event per candidate column that survived to
         // the solver, split by the solver's verdict. `index` is the
@@ -224,13 +233,7 @@ where
             ));
         }
     }
-    Ok(CoverOutcome {
-        selected,
-        cost,
-        rows: m.n_rows(),
-        cols: m.n_cols(),
-        stats,
-    })
+    Ok(outcome)
 }
 
 #[cfg(test)]

@@ -178,6 +178,26 @@ impl LevelStats {
         self.survivors += other.survivors;
         self.deactivated += other.deactivated;
     }
+
+    /// This level's counters under their metric names
+    /// (`merging.k{k}.examined`, ...): the one list the recorder stream
+    /// and the synthesis run record both derive from.
+    pub fn counters(&self) -> [(String, u64); 5] {
+        let k = self.k;
+        [
+            (format!("merging.k{k}.examined"), self.examined),
+            (
+                format!("merging.k{k}.geometry_pruned"),
+                self.geometry_pruned,
+            ),
+            (
+                format!("merging.k{k}.bandwidth_pruned"),
+                self.bandwidth_pruned,
+            ),
+            (format!("merging.k{k}.survivors"), self.survivors),
+            (format!("merging.k{k}.deactivated"), self.deactivated),
+        ]
+    }
 }
 
 /// Statistics from one enumeration run.
@@ -204,6 +224,13 @@ pub struct MergeStats {
     /// count; this field is scheduling-dependent and excluded from
     /// determinism comparisons.
     pub exec: ExecStats,
+}
+
+impl MergeStats {
+    /// Every level's [`LevelStats::counters`], in increasing k.
+    pub fn counters(&self) -> impl Iterator<Item = (String, u64)> + '_ {
+        self.levels.iter().flat_map(LevelStats::counters)
+    }
 }
 
 impl MergeEnumeration {
@@ -676,30 +703,14 @@ pub fn enumerate_with(
         stats.counts.pop();
     }
 
-    emit_level_counters(&stats);
+    if ccs_obs::enabled() {
+        for (name, value) in stats.counters() {
+            ccs_obs::counter(&name, value);
+        }
+    }
     MergeEnumeration {
         subsets_by_k,
         stats,
-    }
-}
-
-/// Reports the per-level breakdown to the global [`ccs_obs`] recorder
-/// (counter names `merging.k{k}.examined` / `.geometry_pruned` /
-/// `.bandwidth_pruned` / `.survivors` / `.deactivated`).
-fn emit_level_counters(stats: &MergeStats) {
-    if !ccs_obs::enabled() {
-        return;
-    }
-    for l in &stats.levels {
-        let k = l.k;
-        ccs_obs::counter(&format!("merging.k{k}.examined"), l.examined);
-        ccs_obs::counter(&format!("merging.k{k}.geometry_pruned"), l.geometry_pruned);
-        ccs_obs::counter(
-            &format!("merging.k{k}.bandwidth_pruned"),
-            l.bandwidth_pruned,
-        );
-        ccs_obs::counter(&format!("merging.k{k}.survivors"), l.survivors);
-        ccs_obs::counter(&format!("merging.k{k}.deactivated"), l.deactivated);
     }
 }
 

@@ -30,7 +30,7 @@ use crate::placement::{
     InfeasibleReason, PlacementCache,
 };
 use crate::units::Bandwidth;
-use ccs_exec::{CancelToken, ExecStats, Executor};
+use ccs_exec::{CancelToken, Executor};
 use ccs_geom::Point2;
 use ccs_obs::ledger::{self, Cause, DecisionEvent};
 use ccs_obs::PhaseRecord;
@@ -98,24 +98,8 @@ pub struct SynthesisStats {
     pub p2p_cost: f64,
     /// Enumeration statistics (per-k counts, prunes, Theorem 3.1 drops).
     pub merge_stats: MergeStats,
-    /// Merge subsets that survived pruning but were structurally
-    /// infeasible with this library.
-    pub infeasible_merges: usize,
-    /// Merge candidates dropped by the cost-dominance filter.
-    pub dominated_dropped: usize,
-    /// Merge subsets whose placement solve was skipped by the
-    /// lower-bound gate ([`MergeConfig::lb_gate`]); such subsets are
-    /// provably dominated (or infeasible) and are counted here instead
-    /// of in [`infeasible_merges`](Self::infeasible_merges) /
-    /// [`dominated_dropped`](Self::dominated_dropped).
-    pub lb_gated: usize,
-    /// Weber/two-hub solver invocations avoided by the lower-bound gate
-    /// (`lb_gated ×` solves one subset costs with this library).
-    pub solves_skipped: u64,
-    /// Total candidate columns handed to the UCP.
-    pub ucp_cols: usize,
-    /// UCP rows (= arcs).
-    pub ucp_rows: usize,
+    /// Placement tallies (infeasible, dominated, gated subsets).
+    pub placement: PlacementStats,
     /// Exact-solver statistics, when the exact solver ran.
     pub ucp_stats: Option<ccs_covering::SolveStats>,
     /// Wall-clock time of the run (its `total` span).
@@ -128,9 +112,12 @@ pub struct SynthesisStats {
     pub phases: Vec<PhaseRecord>,
     /// Worker threads used by the parallel phases (resolved, ≥ 1).
     pub threads: usize,
-    /// Named per-phase counters (same names as the [`ccs_obs`] counter
-    /// stream: `merging.k{k}.examined`, `covering.bnb_nodes`, ...),
-    /// derived deterministically from this run alone. Scheduling-
+    /// Named per-phase counters, derived deterministically from this
+    /// run alone: `p2p.candidates`, the lists of
+    /// [`MergeStats::counters`], [`PlacementStats::counters`] and
+    /// [`CoverOutcome::counters`](crate::cover::CoverOutcome::counters),
+    /// and on a warm run the `resynth.*_reused` counts. Each value is
+    /// the one the [`ccs_obs`] counter stream receives. Scheduling-
     /// dependent executor metrics (steal counts, queue depths) are
     /// deliberately excluded; only `exec.threads` and `exec.tasks`
     /// appear, and both are fixed for a given thread count.
@@ -289,7 +276,16 @@ impl<'a> Synthesizer<'a> {
             candidates.push(c);
         }
         phases.push(phase.finish());
-        ccs_obs::counter("p2p.candidates", candidates.len() as u64);
+        // The run record: each deterministic counter enters it where the
+        // recorder stream receives it, so the two carry one value and a
+        // failed run has still streamed every phase it finished.
+        let mut counters = BTreeMap::new();
+        record(&mut counters, [("p2p.candidates", candidates.len() as u64)]);
+        if warm {
+            // Reuse counts are pure functions of the edit and the
+            // previous state, so they belong in the deterministic map.
+            record(&mut counters, [("resynth.p2p_reused", p2p_reused)]);
+        }
 
         if cancel.is_cancelled() {
             return Err(SynthesisError::Cancelled);
@@ -305,15 +301,17 @@ impl<'a> Synthesizer<'a> {
         let enumeration = enumerate_with(graph, library, &matrices, &self.config.merge, &exec);
         phase.add_cpu(enumeration.stats.exec.busy);
         phases.push(phase.finish());
+        counters.extend(enumeration.stats.counters());
         if cancel.is_cancelled() {
             return Err(SynthesisError::Cancelled);
         }
 
         // Hub placement fans out per surviving subset; the shared cache
         // memoizes per-demand placement weights across subsets and
-        // workers. Infeasibility/dominance accounting folds the ordered
-        // results serially, so counts and kept candidates match a
-        // serial run exactly.
+        // workers. Each worker classifies its subset into a verdict;
+        // infeasibility/dominance accounting folds the ordered verdicts
+        // serially, so counts and kept candidates match a serial run
+        // exactly.
         let mut phase = ccs_obs::phase("placement");
         let subsets: Vec<&Vec<usize>> = enumeration.all_subsets().collect();
         let cache: Arc<PlacementCache> = self
@@ -327,12 +325,8 @@ impl<'a> Synthesizer<'a> {
         // candidate (any real solve costs at least the bound), so the
         // Weber/two-hub iteration is skipped outright. The decision is a
         // pure function of the subset, so it is thread-count invariant.
-        enum Placed {
-            Gated { lb: f64, member_sum: f64 },
-            Done(Result<Candidate, InfeasibleReason>),
-            Reused(Verdict),
-        }
-        let lb_gate = self.config.merge.lb_gate && !self.config.keep_dominated;
+        let keep_dominated = self.config.keep_dominated;
+        let lb_gate = self.config.merge.lb_gate && !keep_dominated;
         let (placed, placement_exec) = {
             let verdicts = session.as_deref().map(|s| &s.verdicts);
             exec.par_map_stats(&subsets, |_, s| {
@@ -342,53 +336,45 @@ impl<'a> Synthesizer<'a> {
                 if let Some(m) = verdicts {
                     let key: Vec<u32> = s.iter().map(|&i| i as u32).collect();
                     if let Some(v) = m.get(&key[..]) {
-                        return Ok(Placed::Reused(v.clone()));
+                        return Ok((v.clone(), true));
                     }
                 }
+                let member_sum: f64 = s.iter().map(|&i| candidates[i].cost).sum();
+                // Hub placement converges to ~1e-9; savings below a
+                // relative 1e-6 are numerical noise, not real wins.
+                let threshold = member_sum * (1.0 - 1e-6) - 1e-12;
                 if lb_gate {
                     // One profiler call per subset, independent of chunking.
                     let _profile = ccs_obs::profile::scope("lb_gate");
                     let lb = merge_cost_lower_bound(graph, library, s, cache);
-                    let member_sum: f64 = s.iter().map(|&i| candidates[i].cost).sum();
-                    if lb >= member_sum * (1.0 - 1e-6) - 1e-12 {
-                        return Ok(Placed::Gated { lb, member_sum });
+                    if lb >= threshold {
+                        return Ok((Verdict::Gated { lb, member_sum }, false));
                     }
                 }
-                merge_candidate_explained(graph, library, s, cache).map(Placed::Done)
+                let verdict = match merge_candidate_explained(graph, library, s, cache)? {
+                    Err(reason) => Verdict::Infeasible(reason),
+                    Ok(c) if !keep_dominated && c.cost >= threshold => Verdict::Dominated {
+                        cost: c.cost,
+                        member_sum,
+                    },
+                    Ok(candidate) => Verdict::Kept {
+                        candidate,
+                        member_sum,
+                    },
+                };
+                Ok((verdict, false))
             })
         };
         phase.add_cpu(placement_exec.busy);
         let ledger_on = ledger::enabled();
         let subset_arcs = |s: &[usize]| -> Vec<u32> { s.iter().map(|&i| i as u32).collect() };
-        let mut infeasible = 0usize;
-        let mut dominated = 0usize;
-        let mut lb_gated = 0usize;
+        let mut placement = PlacementStats::default();
         let mut verdicts_reused = 0u64;
+        // Fresh solves and cache hits are one verdict type, so the
+        // counting and candidate-push order below is literally the same
+        // code on both paths.
         for (subset, r) in subsets.iter().zip(placed) {
-            // Normalize fresh solves and cache hits into one verdict so
-            // the counting and candidate-push order below is literally
-            // the same code on both paths.
-            let (verdict, reused) = match r? {
-                Placed::Gated { lb, member_sum } => (Verdict::Gated { lb, member_sum }, false),
-                Placed::Done(Err(reason)) => (Verdict::Infeasible(reason), false),
-                Placed::Done(Ok(c)) => {
-                    // Hub placement converges to ~1e-9; savings below a
-                    // relative 1e-6 are numerical noise, not real wins.
-                    let member_sum: f64 = subset.iter().map(|&i| candidates[i].cost).sum();
-                    if !self.config.keep_dominated && c.cost >= member_sum * (1.0 - 1e-6) - 1e-12 {
-                        (
-                            Verdict::Dominated {
-                                cost: c.cost,
-                                member_sum,
-                            },
-                            false,
-                        )
-                    } else {
-                        (Verdict::Kept(c), false)
-                    }
-                }
-                Placed::Reused(v) => (v, true),
-            };
+            let (verdict, reused) = r?;
             verdicts_reused += u64::from(reused);
             if warm && !reused {
                 if let Some(s) = session.as_deref_mut() {
@@ -396,79 +382,13 @@ impl<'a> Synthesizer<'a> {
                         .insert(subset_arcs(subset).into_boxed_slice(), verdict.clone());
                 }
             }
-            match verdict {
-                Verdict::Gated { lb, member_sum } => {
-                    lb_gated += 1;
-                    if ledger_on {
-                        let cause = if reused {
-                            Cause::ResynthReused
-                        } else {
-                            Cause::PlacementLbGated
-                        };
-                        ledger::emit(DecisionEvent::new(
-                            cause,
-                            subset_arcs(subset),
-                            lb,
-                            member_sum,
-                            format!("k={}", subset.len()),
-                        ));
-                    }
-                }
-                Verdict::Infeasible(reason) => {
-                    infeasible += 1;
-                    if ledger_on {
-                        let cause = if reused {
-                            Cause::ResynthReused
-                        } else {
-                            Cause::PlacementInfeasible
-                        };
-                        ledger::emit(DecisionEvent::new(
-                            cause,
-                            subset_arcs(subset),
-                            0.0,
-                            0.0,
-                            format!("k={},{}", subset.len(), reason.id()),
-                        ));
-                    }
-                }
-                Verdict::Dominated { cost, member_sum } => {
-                    dominated += 1;
-                    if ledger_on {
-                        let cause = if reused {
-                            Cause::ResynthReused
-                        } else {
-                            Cause::PlacementDominated
-                        };
-                        ledger::emit(DecisionEvent::new(
-                            cause,
-                            subset_arcs(subset),
-                            cost,
-                            member_sum,
-                            format!("k={}", subset.len()),
-                        ));
-                    }
-                }
-                Verdict::Kept(c) => {
-                    if ledger_on {
-                        // `index` is the candidate-slice position the
-                        // covering phase (and its ledger events) will
-                        // refer to.
-                        let cause = if reused {
-                            Cause::ResynthReused
-                        } else {
-                            Cause::PlacementKept
-                        };
-                        let member_sum: f64 = subset.iter().map(|&i| candidates[i].cost).sum();
-                        ledger::emit(DecisionEvent::new(
-                            cause,
-                            subset_arcs(subset),
-                            c.cost,
-                            member_sum,
-                            format!("k={},index={}", subset.len(), candidates.len()),
-                        ));
-                    }
-                    candidates.push(c);
-                }
+            placement.count(&verdict);
+            if ledger_on {
+                let (cause, a, b, detail) = verdict.ledger(reused, subset.len(), candidates.len());
+                ledger::emit(DecisionEvent::new(cause, subset_arcs(subset), a, b, detail));
+            }
+            if let Verdict::Kept { candidate, .. } = verdict {
+                candidates.push(candidate);
             }
         }
         // Each un-gated subset costs one Weber solve plus, when mux and
@@ -482,12 +402,15 @@ impl<'a> Synthesizer<'a> {
         } else {
             u64::from(has_switch)
         };
-        let solves_skipped = lb_gated as u64 * solves_per_subset;
+        placement.solves_skipped = placement.lb_gated * solves_per_subset;
         phases.push(phase.finish());
-        ccs_obs::counter("placement.infeasible_merges", infeasible as u64);
-        ccs_obs::counter("placement.dominated_dropped", dominated as u64);
-        ccs_obs::counter("placement.lb_gated", lb_gated as u64);
-        ccs_obs::counter("placement.solves_skipped", solves_skipped);
+        record(&mut counters, placement.counters());
+        if warm {
+            record(
+                &mut counters,
+                [("resynth.verdicts_reused", verdicts_reused)],
+            );
+        }
 
         if cancel.is_cancelled() {
             return Err(SynthesisError::Cancelled);
@@ -523,7 +446,8 @@ impl<'a> Synthesizer<'a> {
         )?;
         // Always handed in (zero when no exact sweep ran), so the
         // `covering.cpu` span is present for every strategy.
-        phase.add_cpu(outcome.stats.map_or(Duration::ZERO, |s| s.busy));
+        phase.add_cpu(outcome.stats.map_or(Duration::ZERO, |s| s.exec.busy));
+        counters.extend(outcome.counters().map(|(name, v)| (name.to_string(), v)));
         let selected: Vec<Candidate> = outcome
             .selected
             .iter()
@@ -537,11 +461,15 @@ impl<'a> Synthesizer<'a> {
         phases.push(phase.finish());
         let elapsed = run.finish().wall;
 
-        let mut exec_total = ExecStats::default();
-        exec_total.merge(&p2p_exec);
-        exec_total.merge(&enumeration.stats.exec);
-        exec_total.merge(&placement_exec);
+        // Both are fixed for a given thread count; steal counts and
+        // queue depths are scheduling-dependent and stay out of the map.
         ccs_obs::gauge("exec.threads", threads as f64);
+        counters.insert("exec.threads".to_string(), threads as u64);
+        let covering_tasks = outcome.stats.map_or(0, |s| s.exec.tasks);
+        counters.insert(
+            "exec.tasks".to_string(),
+            p2p_exec.tasks + enumeration.stats.exec.tasks + placement_exec.tasks + covering_tasks,
+        );
 
         // Persist this run's state for the next warm re-synthesis. The
         // first `arc_count` candidates are exactly the per-arc p2p
@@ -560,46 +488,17 @@ impl<'a> Synthesizer<'a> {
                 .map(|s| (s[0] as u32, s[1] as u32))
                 .collect();
         }
-        if warm && ccs_obs::enabled() {
-            ccs_obs::counter("resynth.p2p_reused", p2p_reused);
-            ccs_obs::counter("resynth.verdicts_reused", verdicts_reused);
-        }
-
-        let mut stats = SynthesisStats {
+        let stats = SynthesisStats {
             arc_count: graph.arc_count(),
             p2p_cost,
-            counters: run_counters(
-                &enumeration.stats,
-                infeasible,
-                dominated,
-                lb_gated,
-                solves_skipped,
-                &outcome,
-                threads,
-                &exec_total,
-            ),
             merge_stats: enumeration.stats,
-            infeasible_merges: infeasible,
-            dominated_dropped: dominated,
-            lb_gated,
-            solves_skipped,
-            ucp_cols: outcome.cols,
-            ucp_rows: outcome.rows,
+            placement,
             ucp_stats: outcome.stats,
             elapsed,
             phases,
             threads,
+            counters,
         };
-        if warm {
-            // Reuse counts are pure functions of the edit and the
-            // previous state, so they belong in the deterministic map.
-            stats
-                .counters
-                .insert("resynth.p2p_reused".to_string(), p2p_reused);
-            stats
-                .counters
-                .insert("resynth.verdicts_reused".to_string(), verdicts_reused);
-        }
         Ok(SynthesisResult {
             implementation,
             selected,
@@ -659,7 +558,91 @@ enum Verdict {
     /// Solved, but never cheaper than its members' p2p sum.
     Dominated { cost: f64, member_sum: f64 },
     /// Solved and kept as a covering column.
-    Kept(Candidate),
+    Kept {
+        candidate: Candidate,
+        member_sum: f64,
+    },
+}
+
+impl Verdict {
+    /// The verdict's decision-ledger record `(cause, a, b, detail)` for
+    /// a `k`-subset; a `reused` verdict is filed as
+    /// [`Cause::ResynthReused`]. `index` is the candidate-slice position
+    /// a kept candidate takes — the index the covering phase (and its
+    /// ledger events) will refer to.
+    fn ledger(&self, reused: bool, k: usize, index: usize) -> (Cause, f64, f64, String) {
+        let (cause, a, b, detail) = match self {
+            Verdict::Gated { lb, member_sum } => {
+                (Cause::PlacementLbGated, *lb, *member_sum, format!("k={k}"))
+            }
+            Verdict::Infeasible(reason) => (
+                Cause::PlacementInfeasible,
+                0.0,
+                0.0,
+                format!("k={k},{}", reason.id()),
+            ),
+            Verdict::Dominated { cost, member_sum } => (
+                Cause::PlacementDominated,
+                *cost,
+                *member_sum,
+                format!("k={k}"),
+            ),
+            Verdict::Kept {
+                candidate,
+                member_sum,
+            } => (
+                Cause::PlacementKept,
+                candidate.cost,
+                *member_sum,
+                format!("k={k},index={index}"),
+            ),
+        };
+        let cause = if reused { Cause::ResynthReused } else { cause };
+        (cause, a, b, detail)
+    }
+}
+
+/// Placement-phase tallies of one run over the merge subsets that
+/// survived enumeration.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct PlacementStats {
+    /// Subsets that survived pruning but were structurally infeasible
+    /// with this library.
+    pub infeasible_merges: u64,
+    /// Merge candidates dropped by the cost-dominance filter.
+    pub dominated_dropped: u64,
+    /// Subsets whose placement solve was skipped by the lower-bound
+    /// gate ([`MergeConfig::lb_gate`]); such subsets are provably
+    /// dominated (or infeasible) and are counted here instead of in
+    /// [`infeasible_merges`](Self::infeasible_merges) /
+    /// [`dominated_dropped`](Self::dominated_dropped).
+    pub lb_gated: u64,
+    /// Weber/two-hub solver invocations avoided by the lower-bound gate
+    /// (`lb_gated ×` solves one subset costs with this library).
+    pub solves_skipped: u64,
+}
+
+impl PlacementStats {
+    /// The tallies under their metric names: the one list the recorder
+    /// stream and [`SynthesisStats::counters`] both derive from.
+    pub fn counters(&self) -> [(&'static str, u64); 4] {
+        [
+            ("placement.infeasible_merges", self.infeasible_merges),
+            ("placement.dominated_dropped", self.dominated_dropped),
+            ("placement.lb_gated", self.lb_gated),
+            ("placement.solves_skipped", self.solves_skipped),
+        ]
+    }
+
+    /// Tallies one verdict of the placement fold.
+    fn count(&mut self, verdict: &Verdict) {
+        match verdict {
+            Verdict::Gated { .. } => self.lb_gated += 1,
+            Verdict::Infeasible(_) => self.infeasible_merges += 1,
+            Verdict::Dominated { .. } => self.dominated_dropped += 1,
+            Verdict::Kept { .. } => {}
+        }
+    }
 }
 
 /// Persistent warm-start state of a [`SynthesisSession`], keyed by
@@ -971,63 +954,13 @@ impl SynthesisSession {
     }
 }
 
-/// Builds the deterministic per-run counter map of
-/// [`SynthesisStats::counters`] from the phase outputs (names mirror
-/// the [`ccs_obs`] counter stream).
-#[allow(clippy::too_many_arguments)] // internal aggregation, not public API
-fn run_counters(
-    merge_stats: &MergeStats,
-    infeasible: usize,
-    dominated: usize,
-    lb_gated: usize,
-    solves_skipped: u64,
-    outcome: &crate::cover::CoverOutcome,
-    threads: usize,
-    exec_total: &ccs_exec::ExecStats,
-) -> BTreeMap<String, u64> {
-    let mut c = BTreeMap::new();
-    c.insert("p2p.candidates".to_string(), outcome.rows as u64);
-    // Both are fixed for a given thread count; steal counts and queue
-    // depths are scheduling-dependent and stay out of this map.
-    c.insert("exec.threads".to_string(), threads as u64);
-    c.insert("exec.tasks".to_string(), exec_total.tasks);
-    for l in &merge_stats.levels {
-        let k = l.k;
-        c.insert(format!("merging.k{k}.examined"), l.examined);
-        c.insert(format!("merging.k{k}.geometry_pruned"), l.geometry_pruned);
-        c.insert(format!("merging.k{k}.bandwidth_pruned"), l.bandwidth_pruned);
-        c.insert(format!("merging.k{k}.survivors"), l.survivors);
-        c.insert(format!("merging.k{k}.deactivated"), l.deactivated);
+/// Emits `counters` to the recorder stream and keeps them in the run
+/// record ([`SynthesisStats::counters`]), so both carry one value.
+fn record<'a>(run: &mut BTreeMap<String, u64>, counters: impl IntoIterator<Item = (&'a str, u64)>) {
+    for (name, value) in counters {
+        ccs_obs::counter(name, value);
+        run.insert(name.to_string(), value);
     }
-    c.insert("placement.infeasible_merges".to_string(), infeasible as u64);
-    c.insert("placement.dominated_dropped".to_string(), dominated as u64);
-    c.insert("placement.lb_gated".to_string(), lb_gated as u64);
-    c.insert("placement.solves_skipped".to_string(), solves_skipped);
-    c.insert("covering.rows".to_string(), outcome.rows as u64);
-    c.insert("covering.cols".to_string(), outcome.cols as u64);
-    if let Some(s) = &outcome.stats {
-        c.insert("covering.bnb_nodes".to_string(), s.nodes);
-        c.insert("covering.essentials".to_string(), s.essentials);
-        c.insert(
-            "covering.dominated_columns".to_string(),
-            s.dominated_columns,
-        );
-        c.insert("covering.dominated_rows".to_string(), s.dominated_rows);
-        c.insert("covering.bound_prunes".to_string(), s.bound_prunes);
-        c.insert(
-            "covering.incumbent_updates".to_string(),
-            s.incumbent_updates,
-        );
-        // Subtree fan-out and fold-level bound improvements are fixed by
-        // the instance and thread-count-invariant; per-worker steal
-        // counts are scheduling-dependent and stay out of this map.
-        c.insert("covering.subtrees".to_string(), s.subtrees);
-        c.insert(
-            "covering.shared_bound_tightenings".to_string(),
-            s.shared_bound_tightenings,
-        );
-    }
-    c
 }
 
 #[cfg(test)]
@@ -1133,7 +1066,7 @@ mod tests {
             ..SynthesisConfig::default()
         };
         let fat = Synthesizer::new(&g, &lib).with_config(cfg).run().unwrap();
-        assert!(fat.stats.ucp_cols >= lean.stats.ucp_cols);
+        assert!(fat.candidates.len() >= lean.candidates.len());
         assert!((fat.total_cost() - lean.total_cost()).abs() < 1e-6);
     }
 
@@ -1143,8 +1076,8 @@ mod tests {
         let lib = wan_paper_library();
         let r = Synthesizer::new(&g, &lib).run().unwrap();
         assert_eq!(r.stats.arc_count, 4);
-        assert_eq!(r.stats.ucp_rows, 4);
-        assert_eq!(r.stats.ucp_cols, r.candidates.len());
+        assert_eq!(r.stats.counters["covering.rows"], 4);
+        assert_eq!(r.stats.counters["covering.cols"], r.candidates.len() as u64);
         assert!(r.stats.p2p_cost > 0.0);
         // The far pair (arc 3) never merges: deactivated at level 2.
         assert_eq!(r.stats.merge_stats.deactivated_at[3], Some(2));
@@ -1224,8 +1157,11 @@ mod tests {
         // Equal-bandwidth pairs have no economy of scale (λ = 1), so
         // every surviving pair is gated; mux + demux on offer means two
         // solves avoided per gated subset.
-        assert!(gated.stats.lb_gated > 0, "gate should fire");
-        assert_eq!(gated.stats.solves_skipped, gated.stats.lb_gated as u64 * 2);
+        assert!(gated.stats.placement.lb_gated > 0, "gate should fire");
+        assert_eq!(
+            gated.stats.placement.solves_skipped,
+            gated.stats.placement.lb_gated * 2
+        );
         let cfg = SynthesisConfig {
             merge: MergeConfig {
                 lb_gate: false,
@@ -1234,13 +1170,15 @@ mod tests {
             ..SynthesisConfig::default()
         };
         let ungated = Synthesizer::new(&g, &lib).with_config(cfg).run().unwrap();
-        assert_eq!(ungated.stats.lb_gated, 0);
-        assert_eq!(ungated.stats.solves_skipped, 0);
+        assert_eq!(ungated.stats.placement.lb_gated, 0);
+        assert_eq!(ungated.stats.placement.solves_skipped, 0);
         // Gating only reclassifies subsets the dominance/infeasibility
         // filters would discard after the solve — never the kept ones.
         assert_eq!(
-            gated.stats.lb_gated + gated.stats.infeasible_merges + gated.stats.dominated_dropped,
-            ungated.stats.infeasible_merges + ungated.stats.dominated_dropped
+            gated.stats.placement.lb_gated
+                + gated.stats.placement.infeasible_merges
+                + gated.stats.placement.dominated_dropped,
+            ungated.stats.placement.infeasible_merges + ungated.stats.placement.dominated_dropped
         );
         let arcs = |r: &SynthesisResult| {
             r.selected
@@ -1263,8 +1201,8 @@ mod tests {
         };
         let r = Synthesizer::new(&g, &lib).with_config(cfg).run().unwrap();
         // With dominated candidates kept, every solve must actually run.
-        assert_eq!(r.stats.lb_gated, 0);
-        assert_eq!(r.stats.solves_skipped, 0);
+        assert_eq!(r.stats.placement.lb_gated, 0);
+        assert_eq!(r.stats.placement.solves_skipped, 0);
     }
 
     #[test]
@@ -1334,10 +1272,11 @@ mod tests {
         assert_same_result(&second, &cold);
         // The second run recomputed nothing.
         assert_eq!(second.stats.counters["resynth.p2p_reused"], 4);
-        let total_verdicts = (second.stats.lb_gated
-            + second.stats.infeasible_merges
-            + second.stats.dominated_dropped) as u64
-            + (second.stats.ucp_cols - second.stats.arc_count) as u64;
+        let p = second.stats.placement;
+        let total_verdicts = p.lb_gated
+            + p.infeasible_merges
+            + p.dominated_dropped
+            + (second.candidates.len() - second.stats.arc_count) as u64;
         assert_eq!(
             second.stats.counters["resynth.verdicts_reused"],
             total_verdicts

@@ -42,7 +42,7 @@
 pub mod bitset;
 
 use bitset::BitSet;
-use ccs_exec::Executor;
+use ccs_exec::{ExecStats, Executor};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -131,13 +131,12 @@ pub enum Search<'a> {
 
 /// Search statistics from the exact solver.
 ///
-/// Every field is identical at every thread count except [`steals`],
-/// [`busy`](Self::busy) and [`dominance_ns`](Self::dominance_ns), which
+/// Every field is identical at every thread count except
+/// [`exec`](Self::exec) and [`dominance_ns`](Self::dominance_ns), which
 /// depend on scheduling and wall clocks; equality (`PartialEq`)
 /// compares only the deterministic fields so outcome comparisons stay
-/// meaningful across executors.
-///
-/// [`steals`]: Self::steals
+/// meaningful across executors. [`counters`](Self::counters) names the
+/// deterministic counts once for every report that carries them.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SolveStats {
     /// Branch-and-bound nodes visited (expansion nodes plus the nodes
@@ -165,12 +164,11 @@ pub struct SolveStats {
     /// Strict improvements of the global best during the fixed-order
     /// fold of subtree results.
     pub shared_bound_tightenings: u64,
-    /// Work-stealing events in the subtree sweep. Schedule-dependent;
-    /// ignored by `PartialEq`.
-    pub steals: u64,
-    /// Summed worker busy time of the subtree sweep (its
-    /// `ExecStats::busy`). Schedule-dependent; ignored by `PartialEq`.
-    pub busy: std::time::Duration,
+    /// Executor telemetry of the subtree sweep (tasks, steals, busy
+    /// time), summed over a discarded seeded sweep when the search
+    /// re-ran cold. Its task count is fixed for a given thread count;
+    /// the rest is schedule-dependent. Ignored by `PartialEq`.
+    pub exec: ExecStats,
     /// Wall-clock nanoseconds spent in the dominance reductions.
     /// Schedule-dependent; ignored by `PartialEq`.
     pub dominance_ns: u64,
@@ -183,9 +181,31 @@ pub struct SolveStats {
     pub greedy_cost: f64,
 }
 
+impl SolveStats {
+    /// The deterministic counters under their metric names: the one
+    /// list every report of these counts derives from. `proven_optimal`,
+    /// `greedy_cost` and the schedule-dependent fields stay out.
+    pub fn counters(&self) -> [(&'static str, u64); 9] {
+        [
+            ("covering.bnb_nodes", self.nodes),
+            ("covering.essentials", self.essentials),
+            ("covering.dominated_columns", self.dominated_columns),
+            ("covering.dominated_rows", self.dominated_rows),
+            ("covering.bound_prunes", self.bound_prunes),
+            ("covering.seed_prunes", self.seed_prunes),
+            ("covering.incumbent_updates", self.incumbent_updates),
+            ("covering.subtrees", self.subtrees),
+            (
+                "covering.shared_bound_tightenings",
+                self.shared_bound_tightenings,
+            ),
+        ]
+    }
+}
+
 impl PartialEq for SolveStats {
     fn eq(&self, other: &Self) -> bool {
-        // `steals`, `busy` and `dominance_ns` are deliberately left
+        // `exec` and `dominance_ns` are deliberately left
         // out: they vary run-to-run, and two solves that explored the
         // same tree must compare equal.
         self.nodes == other.nodes
@@ -344,7 +364,7 @@ impl CoverMatrix {
     /// within a node budget (see the variants for the seed and budget
     /// semantics). The cover and every deterministic [`SolveStats`]
     /// field are byte-identical at every thread count; only wall clock,
-    /// [`steals`](SolveStats::steals), [`busy`](SolveStats::busy) and
+    /// [`exec`](SolveStats::exec) and
     /// [`dominance_ns`](SolveStats::dominance_ns) vary.
     ///
     /// # Errors
@@ -433,8 +453,7 @@ impl CoverMatrix {
                 }
                 self.run_subtree(frame, budgets[i], &start, seed_bound, Some(&shared))
             });
-            stats.steals = exec_stats.steals;
-            stats.busy = exec_stats.busy;
+            stats.exec = exec_stats;
 
             // Final cost is an order-free min over whatever ran, so it
             // is the same value under any schedule (skipped tasks
@@ -507,7 +526,9 @@ impl CoverMatrix {
             // bound proves they hold nothing at or below the final
             // cost, so no prune inside them can have hidden it.)
             if min_pruned <= b + band(b) {
-                return self.solve_inner(node_limit, None, exec);
+                let (cover, mut cold) = self.solve_inner(node_limit, None, exec)?;
+                cold.exec.merge(&stats.exec);
+                return Ok((cover, cold));
             }
         }
         let (cost, mut columns) = best;
@@ -1348,9 +1369,10 @@ mod tests {
         let (c, stats) = solve(&m, COLD).unwrap();
         assert_eq!(c.columns.len(), 3);
         assert!(stats.subtrees > 0, "{stats:?}");
-        assert!(stats.busy > std::time::Duration::ZERO, "{stats:?}");
+        assert!(stats.exec.busy > std::time::Duration::ZERO, "{stats:?}");
+        assert!(stats.exec.tasks > 0, "{stats:?}");
         let mut other = stats;
-        other.busy += std::time::Duration::from_secs(1);
+        other.exec.busy += std::time::Duration::from_secs(1);
         assert_eq!(other, stats);
     }
 

@@ -997,6 +997,20 @@ fn gen(rest: &[&str]) -> Result<String, String> {
             if let Some(v) = take("nodes-per-cluster") {
                 cfg.nodes_per_cluster = v as usize;
             }
+            gen_at_least(
+                kind,
+                &[
+                    ("channels", cfg.channels, 1),
+                    ("clusters", cfg.clusters, 1),
+                    ("nodes-per-cluster", cfg.nodes_per_cluster, 1),
+                ],
+            )?;
+            if cfg.clusters == 1 && cfg.nodes_per_cluster == 1 {
+                // A channel joins two distinct nodes.
+                return Err(
+                    "ccs gen wan: --clusters 1 needs --nodes-per-cluster of at least 2".into(),
+                );
+            }
             ccs_gen::random::clustered_wan(&cfg)
         }
         "soc" => {
@@ -1010,6 +1024,10 @@ fn gen(rest: &[&str]) -> Result<String, String> {
             if let Some(v) = take("modules") {
                 cfg.modules = v as usize;
             }
+            gen_at_least(
+                kind,
+                &[("channels", cfg.channels, 1), ("modules", cfg.modules, 2)],
+            )?;
             ccs_gen::random::soc_floorplan(&cfg)
         }
         _ => return Err(usage),
@@ -1018,6 +1036,17 @@ fn gen(rest: &[&str]) -> Result<String, String> {
         return Err(format!("unknown ccs gen {kind} flag --{unknown}"));
     }
     Ok(io::instance_to_string(&graph))
+}
+
+/// Rejects the first `(flag, value, min)` whose value is below `min`:
+/// the generators assert these bounds, so they are checked up front.
+fn gen_at_least(kind: &str, flags: &[(&str, usize, usize)]) -> Result<(), String> {
+    match flags.iter().find(|&&(_, value, min)| value < min) {
+        Some((flag, value, min)) => Err(format!(
+            "ccs gen {kind}: --{flag} must be at least {min}, got {value}"
+        )),
+        None => Ok(()),
+    }
 }
 
 fn serve_cmd(rest: &[&str]) -> Result<String, String> {

@@ -162,6 +162,84 @@ fn stats_counters_match_metrics_document_without_any_recorder() {
     }
 }
 
+/// Runs `f` under a request scope recording into a fresh collector and
+/// returns its result with the counters the stream received.
+fn streamed<T>(f: impl FnOnce() -> T) -> (T, std::collections::BTreeMap<String, u64>) {
+    let collector = ccs::obs::Collector::new();
+    let obs = ccs::obs::scope::RequestObs::new(Some(collector.clone()), None);
+    let guard = ccs::obs::scope::enter(obs);
+    let out = f();
+    drop(guard);
+    (out, collector.snapshot().counters)
+}
+
+/// Every counter of the run record must be in the recorder stream with
+/// the same value. `exec.threads` is a gauge in the stream.
+fn assert_record_matches_stream(
+    what: &str,
+    r: &ccs::core::synthesis::SynthesisResult,
+    stream: &std::collections::BTreeMap<String, u64>,
+) {
+    for (name, &value) in &r.stats.counters {
+        if name == "exec.threads" {
+            continue;
+        }
+        assert_eq!(stream.get(name), Some(&value), "{what}: counter {name}");
+    }
+}
+
+#[test]
+fn stats_counters_equal_the_recorder_stream() {
+    use ccs::core::synthesis::{Edit, SynthesisConfig, SynthesisSession, Synthesizer};
+    use ccs::gen::random::{soc_floorplan, SocConfig};
+    let _guard = RECORDER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let soc = soc_floorplan(&SocConfig {
+        seed: 7,
+        channels: 14,
+        ..SocConfig::default()
+    });
+    let instances = [
+        (
+            "wan",
+            ccs::gen::wan::paper_instance(),
+            ccs::gen::wan::paper_library(),
+        ),
+        ("soc", soc, ccs::gen::mpeg4::paper_library()),
+    ];
+    for (name, graph, library) in &instances {
+        for threads in [1, 2] {
+            let config = SynthesisConfig {
+                threads,
+                ..SynthesisConfig::default()
+            };
+            let (r, stream) = streamed(|| {
+                Synthesizer::new(graph, library)
+                    .with_config(config.clone())
+                    .run()
+            });
+            let r = r.unwrap();
+            assert_record_matches_stream(&format!("{name} t{threads}"), &r, &stream);
+            if *name == "soc" {
+                // The covering sweep fans out, so its tasks count too.
+                assert!(r.stats.counters["covering.subtrees"] > 0);
+            }
+        }
+    }
+    // A warm, seeded re-synthesis adds the reuse counts.
+    let (_, graph, library) = &instances[1];
+    let mut session =
+        SynthesisSession::new(graph.clone(), library.clone(), SynthesisConfig::default());
+    session.resynthesize(&[]).unwrap();
+    let edit = Edit::ArcRate {
+        arc: 2,
+        bandwidth: ccs::core::units::Bandwidth::from_mbps(250.0),
+    };
+    let (r, stream) = streamed(|| session.resynthesize(&[edit]));
+    let r = r.unwrap();
+    assert!(r.stats.counters["resynth.verdicts_reused"] > 0);
+    assert_record_matches_stream("soc warm", &r, &stream);
+}
+
 #[test]
 fn failing_synth_still_reports_the_phases_it_entered() {
     let _guard = RECORDER_LOCK.lock().unwrap_or_else(|e| e.into_inner());

@@ -45,11 +45,13 @@ fn assert_gate_invariant(g: &ConstraintGraph, lib: &Library) -> (SynthesisResult
     // Every gated subset would have been infeasible or dominated: the
     // three buckets are a reclassification of the same population.
     assert_eq!(
-        gated.stats.lb_gated + gated.stats.infeasible_merges + gated.stats.dominated_dropped,
-        ungated.stats.infeasible_merges + ungated.stats.dominated_dropped
+        gated.stats.placement.lb_gated
+            + gated.stats.placement.infeasible_merges
+            + gated.stats.placement.dominated_dropped,
+        ungated.stats.placement.infeasible_merges + ungated.stats.placement.dominated_dropped
     );
-    assert_eq!(ungated.stats.lb_gated, 0);
-    assert_eq!(ungated.stats.solves_skipped, 0);
+    assert_eq!(ungated.stats.placement.lb_gated, 0);
+    assert_eq!(ungated.stats.placement.solves_skipped, 0);
 
     let render = |r: &SynthesisResult| {
         let mut out = String::new();
@@ -115,12 +117,12 @@ fn lb_gate_fires_on_clustered_wan() {
     let g = clustered_wan(&cfg);
     let gated = run(&g, &wan_paper_library(), true);
     assert!(
-        gated.stats.lb_gated > 0,
+        gated.stats.placement.lb_gated > 0,
         "expected the LB gate to skip at least one subset"
     );
     assert_eq!(
-        gated.stats.solves_skipped,
-        gated.stats.lb_gated as u64 * 2,
+        gated.stats.placement.solves_skipped,
+        gated.stats.placement.lb_gated * 2,
         "paper library has mux+demux and switch: two solves per subset"
     );
 }

@@ -339,3 +339,29 @@ fn overflowing_candidate_cost_is_a_typed_error() {
     );
     assert!(!stderr.contains("panicked"), "stderr: {stderr}");
 }
+
+#[test]
+fn gen_rejects_degenerate_sizes_without_panicking() {
+    for (args, flag) in [
+        ("soc --modules 1", "--modules"),
+        ("soc --modules 0", "--modules"),
+        ("soc --channels 0", "--channels"),
+        ("wan --channels 0", "--channels"),
+        ("wan --clusters 0", "--clusters"),
+        ("wan --nodes-per-cluster 0", "--nodes-per-cluster"),
+        (
+            "wan --clusters 1 --nodes-per-cluster 1",
+            "--nodes-per-cluster",
+        ),
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_ccs"))
+            .arg("gen")
+            .args(args.split_whitespace())
+            .output()
+            .expect("ccs runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "gen {args}: {stderr}");
+        assert!(stderr.contains(flag), "gen {args}: {stderr}");
+        assert!(!stderr.contains("panicked"), "gen {args}: {stderr}");
+    }
+}
