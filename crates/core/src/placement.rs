@@ -16,9 +16,9 @@ use crate::library::{Library, NodeKind};
 use crate::p2p::{best_plan, P2pPlan};
 use crate::units::Bandwidth;
 use ccs_exec::ShardedCache;
-use ccs_geom::twohub::TwoHubProblem;
+use ccs_geom::twohub::{TwoHubProblem, TwoHubSolution};
 use ccs_geom::weber::WeberProblem;
-use ccs_geom::Point2;
+use ccs_geom::{Norm, Point2};
 
 /// Lengths below this are treated as a coincident hub/port (no link).
 const ZERO_LEN: f64 = 1e-9;
@@ -316,18 +316,8 @@ pub fn merge_cost_lower_bound(
     cache: &PlacementCache,
 ) -> f64 {
     debug_assert!(subset.len() >= 2, "a merging needs at least two arcs");
-    let muxdemux = match (
-        library.node_cost(NodeKind::Mux),
-        library.node_cost(NodeKind::Demux),
-    ) {
-        (Some(m), Some(d)) => Some(m + d),
-        _ => None,
-    };
-    let node_floor = match (muxdemux, library.node_cost(NodeKind::Switch)) {
-        (Some(md), Some(s)) => md.min(s),
-        (Some(md), None) => md,
-        (None, Some(s)) => s,
-        (None, None) => return f64::INFINITY,
+    let Some((_, node_floor)) = HubOffer::of(library).star() else {
+        return f64::INFINITY;
     };
     let trunk_demand: Bandwidth = subset
         .iter()
@@ -382,6 +372,55 @@ impl InfeasibleReason {
     }
 }
 
+/// The hub hardware a library offers — the one place placement reads
+/// it. The a-priori bound, the warm certificate, the priced topologies
+/// and the solve-skip count all derive from these two prices.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct HubOffer {
+    /// Mux + demux price, when both are on offer (the dumbbell).
+    muxdemux: Option<f64>,
+    /// Switch price, when on offer.
+    switch: Option<f64>,
+}
+
+impl HubOffer {
+    pub(crate) fn of(library: &Library) -> HubOffer {
+        HubOffer {
+            muxdemux: match (
+                library.node_cost(NodeKind::Mux),
+                library.node_cost(NodeKind::Demux),
+            ) {
+                (Some(m), Some(d)) => Some(m + d),
+                _ => None,
+            },
+            switch: library.node_cost(NodeKind::Switch),
+        }
+    }
+
+    /// The star's hardware and price: a single switch when it is on
+    /// offer and no dearer than the pair, else a co-located mux/demux.
+    /// Its price is also the cheapest hub hardware of the library, the
+    /// lower bound's node floor. `None`: no hub can exist at all.
+    fn star(self) -> Option<(HubHardware, f64)> {
+        match (self.switch, self.muxdemux) {
+            (Some(s), Some(md)) if s <= md => Some((HubHardware::SingleSwitch, s)),
+            (Some(s), None) => Some((HubHardware::SingleSwitch, s)),
+            (_, Some(md)) => Some((HubHardware::MuxDemux, md)),
+            (None, None) => None,
+        }
+    }
+
+    /// Placement solves one priced subset costs: the star's Weber solve,
+    /// plus the dumbbell's two-hub solve when mux and demux are on offer.
+    pub(crate) fn solves_per_subset(self) -> u64 {
+        match (self.muxdemux, self.switch) {
+            (Some(_), _) => 2,
+            (None, Some(_)) => 1,
+            (None, None) => 0,
+        }
+    }
+}
+
 /// Builds the k-way merge candidate for `subset` (arc indices, sorted).
 ///
 /// Returns `Ok(None)` when the merging is structurally infeasible with
@@ -403,33 +442,14 @@ pub fn merge_candidate(
     library: &Library,
     subset: &[usize],
 ) -> Result<Option<Candidate>, SynthesisError> {
-    merge_candidate_cached(graph, library, subset, &PlacementCache::new())
+    merge_candidate_explained(graph, library, subset, &PlacementCache::new()).map(Result::ok)
 }
 
-/// [`merge_candidate`] with a shared [`PlacementCache`], for callers
-/// that price many subsets of the same graph/library pair (possibly
-/// from several threads at once).
-///
-/// # Errors
-///
-/// Same contract as [`merge_candidate`].
-///
-/// # Panics
-///
-/// Panics if `subset` has fewer than two arcs or contains an invalid
-/// index.
-pub fn merge_candidate_cached(
-    graph: &ConstraintGraph,
-    library: &Library,
-    subset: &[usize],
-    cache: &PlacementCache,
-) -> Result<Option<Candidate>, SynthesisError> {
-    merge_candidate_explained(graph, library, subset, cache).map(Result::ok)
-}
-
-/// [`merge_candidate_cached`], but an infeasible subset reports *why*
-/// (`Ok(Err(reason))`) instead of a bare `None` — the provenance the
-/// decision ledger records for `ccs explain`.
+/// [`merge_candidate`] with a shared [`PlacementCache`] (for callers
+/// that price many subsets of the same graph/library pair, possibly
+/// from several threads at once), and an infeasible subset reports
+/// *why* (`Ok(Err(reason))`) instead of a bare `None` — the provenance
+/// the decision ledger records for `ccs explain`.
 ///
 /// # Errors
 ///
@@ -445,42 +465,13 @@ pub fn merge_candidate_explained(
     subset: &[usize],
     cache: &PlacementCache,
 ) -> Result<Result<Candidate, InfeasibleReason>, SynthesisError> {
-    assert!(subset.len() >= 2, "a merging needs at least two arcs");
     // One profiler call per subset, independent of chunking/threads.
     let _profile = ccs_obs::profile::scope("solve_merge");
-
-    // Hub hardware on offer.
-    let muxdemux_cost = match (
-        library.node_cost(NodeKind::Mux),
-        library.node_cost(NodeKind::Demux),
-    ) {
-        (Some(m), Some(d)) => Some(m + d),
-        _ => None,
+    let hubs = HubOffer::of(library);
+    let merge = match Merge::new(graph, library, subset, cache, hubs) {
+        Ok(m) => m,
+        Err(reason) => return Ok(Err(reason)),
     };
-    let switch_cost = library.node_cost(NodeKind::Switch);
-    if muxdemux_cost.is_none() && switch_cost.is_none() {
-        return Ok(Err(InfeasibleReason::NoHubHardware));
-    }
-
-    let arcs: Vec<_> = subset
-        .iter()
-        .map(|&i| (i, graph.arc(ArcId(i as u32))))
-        .collect();
-    let trunk_demand: Bandwidth = arcs.iter().map(|(_, a)| a.bandwidth).sum();
-
-    // Hub placement with per-length price weights.
-    let Some(trunk_rate) = cache.effective_rate(library, trunk_demand) else {
-        return Ok(Err(InfeasibleReason::UnroutableDemand));
-    };
-    let mut sources = Vec::with_capacity(arcs.len());
-    let mut sinks = Vec::with_capacity(arcs.len());
-    for (_, a) in &arcs {
-        let Some(rate) = cache.effective_rate(library, a.bandwidth) else {
-            return Ok(Err(InfeasibleReason::UnroutableDemand));
-        };
-        sources.push((graph.position(a.src), rate));
-        sinks.push((graph.position(a.dst), rate));
-    }
 
     // The reason reported when every attempted topology fails (each
     // failed attempt overwrites it, so the star's reason wins when both
@@ -488,66 +479,27 @@ pub fn merge_candidate_explained(
     let mut why = InfeasibleReason::UnroutableDemand;
 
     // Topology 1: the general dumbbell (two hubs, mux/demux required).
-    let dumbbell = if let Some(md) = muxdemux_cost {
-        let sol =
-            TwoHubProblem::new(sources.clone(), sinks.clone(), trunk_rate).solve(graph.norm());
-        if ccs_obs::enabled() {
-            ccs_obs::counter("placement.twohub_solves", 1);
-            ccs_obs::counter("placement.twohub_iterations", sol.iterations as u64);
-            ccs_obs::gauge("placement.twohub_residual", sol.residual);
-        }
-        match build_merge(
-            graph,
-            library,
-            subset,
-            &arcs,
-            trunk_demand,
-            sol.hub_a,
-            sol.hub_b,
-            md,
-            HubHardware::MuxDemux,
-        )? {
-            Ok(c) => Some(c),
-            Err(reason) => {
-                why = reason;
-                None
+    let dumbbell = match hubs.muxdemux {
+        Some(md) => {
+            let sol = merge.place(false);
+            match merge.build(sol.hub_a, sol.hub_b, md, HubHardware::MuxDemux)? {
+                Ok(c) => Some(c),
+                Err(reason) => {
+                    why = reason;
+                    None
+                }
             }
         }
-    } else {
-        None
+        None => None,
     };
 
-    // Topology 2: the star (one shared hub). A single switch can realize
-    // it; a co-located mux/demux pair is the fallback when the switch is
-    // absent or pricier.
-    let star_anchors: Vec<(Point2, f64)> = sources.iter().chain(&sinks).copied().collect();
-    let star_hub = WeberProblem::new(star_anchors).solve(graph.norm());
-    ccs_obs::counter("placement.weber_solves", 1);
-    let star_hardware = match (switch_cost, muxdemux_cost) {
-        (Some(s), Some(md)) if s <= md => Some((HubHardware::SingleSwitch, s)),
-        (Some(s), None) => Some((HubHardware::SingleSwitch, s)),
-        (_, Some(md)) => Some((HubHardware::MuxDemux, md)),
-        (None, None) => None,
-    };
-    let star = match star_hardware {
-        Some((hw, node_cost)) => match build_merge(
-            graph,
-            library,
-            subset,
-            &arcs,
-            trunk_demand,
-            star_hub,
-            star_hub,
-            node_cost,
-            hw,
-        )? {
-            Ok(c) => Some(c),
-            Err(reason) => {
-                why = reason;
-                None
-            }
-        },
-        None => None,
+    // Topology 2: the star (one shared hub).
+    let star = match merge.star()? {
+        Ok(c) => Some(c),
+        Err(reason) => {
+            why = reason;
+            None
+        }
     };
 
     Ok(match (dumbbell, star) {
@@ -557,115 +509,269 @@ pub fn merge_candidate_explained(
     })
 }
 
-/// Prices one concrete merge topology; `Err(reason)` when some stretch
-/// cannot be implemented with this library or a hop bound is exceeded.
-#[allow(clippy::too_many_arguments)] // internal constructor, not public API
-fn build_merge(
+/// Proves, without the cold solve, that `subset`'s merge candidate
+/// costs at least `threshold`, and returns the proven lower bound on
+/// its cost.
+///
+/// [`merge_candidate_explained`] keeps the cheaper of the star and the
+/// dumbbell. The star is priced here by the same code, so its cost is
+/// the one the cold solve would get. For the dumbbell, the hubs come
+/// from the warm-started two-hub solve ([`TwoHubProblem::solve_warm`]),
+/// and [`TwoHubProblem::euclidean_lower_bound`] turns them into a
+/// bound on the optimum of the objective with [`rate_floor`] weights.
+/// Every priced segment costs at least its floor times its length, so
+/// the bound plus the mux/demux price holds for the dumbbell at *any*
+/// hubs, the cold solve's included — less the `ZERO_LEN` stubs the
+/// builder trims, and lowered by a relative 1e-9 for rounding.
+///
+/// `None` means "not proven": the star is infeasible or below
+/// `threshold`, the bound falls short, or the dumbbell is not solved
+/// iteratively (a non-Euclidean norm, whose solvers are exact, or no
+/// mux/demux pair). The caller then runs [`merge_candidate_explained`]
+/// and uses only its result, so every kept candidate and every
+/// infeasibility verdict comes from the cold solve. A feasible star
+/// also rules out an `Infeasible` cold verdict for a proven subset.
+pub(crate) fn merge_dominated_warm(
     graph: &ConstraintGraph,
     library: &Library,
     subset: &[usize],
-    arcs: &[(usize, &crate::constraint::Channel)],
+    cache: &PlacementCache,
+    threshold: f64,
+) -> Option<f64> {
+    let hubs = HubOffer::of(library);
+    let md = hubs.muxdemux.filter(|_| graph.norm() == Norm::Euclidean)?;
+    // One profiler call per subset, independent of chunking/threads.
+    let _profile = ccs_obs::profile::scope("warm_certify");
+    let merge = Merge::new(graph, library, subset, cache, hubs).ok()?;
+    let star = merge.star().ok()?.ok()?.cost;
+    if star < threshold {
+        return None;
+    }
+    let sol = merge.place(true);
+    let floor = |demand| cache.rate_floor(library, demand);
+    let weighted = |ends: &[(Point2, f64)]| -> Vec<(Point2, f64)> {
+        ends.iter()
+            .zip(&merge.arcs)
+            .map(|(&(p, _), (_, a))| (p, floor(a.bandwidth)))
+            .collect()
+    };
+    let trunk_floor = floor(merge.trunk_demand);
+    let floors = TwoHubProblem::new(
+        weighted(&merge.sources),
+        weighted(&merge.sinks),
+        trunk_floor,
+    );
+    let stubs: f64 = merge
+        .arcs
+        .iter()
+        .map(|(_, a)| 2.0 * floor(a.bandwidth))
+        .sum();
+    let dumbbell =
+        md + floors.euclidean_lower_bound(sol.hub_a, sol.hub_b) - ZERO_LEN * (stubs + trunk_floor);
+    let bound = (dumbbell - dumbbell.abs() * 1e-9).min(star);
+    (bound >= threshold).then_some(bound)
+}
+
+/// One merge subset, ready to place: its member arcs, trunk demand and
+/// placement weights. Shared by the cold solve and the warm proof.
+struct Merge<'a> {
+    graph: &'a ConstraintGraph,
+    library: &'a Library,
+    subset: &'a [usize],
+    hubs: HubOffer,
+    arcs: Vec<(usize, &'a crate::constraint::Channel)>,
     trunk_demand: Bandwidth,
-    hub_a: Point2,
-    hub_b: Point2,
-    node_cost: f64,
-    hub_hardware: HubHardware,
-) -> Result<Result<Candidate, InfeasibleReason>, SynthesisError> {
-    let norm = graph.norm();
-    let mut segments = Vec::new();
-    let mut cost = node_cost;
+    trunk_rate: f64,
+    sources: Vec<(Point2, f64)>,
+    sinks: Vec<(Point2, f64)>,
+}
 
-    // Source branches.
-    for (idx, a) in arcs {
-        let pos = graph.position(a.src);
-        let len = norm.distance(pos, hub_a);
-        if len <= ZERO_LEN {
-            continue;
+impl<'a> Merge<'a> {
+    fn new(
+        graph: &'a ConstraintGraph,
+        library: &'a Library,
+        subset: &'a [usize],
+        cache: &PlacementCache,
+        hubs: HubOffer,
+    ) -> Result<Merge<'a>, InfeasibleReason> {
+        assert!(subset.len() >= 2, "a merging needs at least two arcs");
+        if hubs.star().is_none() {
+            return Err(InfeasibleReason::NoHubHardware);
         }
-        let Ok(plan) = best_plan(library, len, a.bandwidth, ArcId(*idx as u32)) else {
-            return Ok(Err(InfeasibleReason::UnroutableDemand));
-        };
-        cost += plan.cost;
-        segments.push(SegmentPlan {
-            from: Endpoint::Port(a.src),
-            to: Endpoint::HubA,
-            from_pos: pos,
-            to_pos: hub_a,
-            length: len,
-            demand: a.bandwidth,
-            plan,
-            arcs: vec![*idx],
-        });
-    }
-
-    // Common path (trunk). A star topology has none by construction.
-    let trunk_len = norm.distance(hub_a, hub_b);
-    if trunk_len > ZERO_LEN {
-        let Ok(plan) = best_plan(library, trunk_len, trunk_demand, ArcId(subset[0] as u32)) else {
-            return Ok(Err(InfeasibleReason::UnroutableDemand));
-        };
-        cost += plan.cost;
-        segments.push(SegmentPlan {
-            from: Endpoint::HubA,
-            to: Endpoint::HubB,
-            from_pos: hub_a,
-            to_pos: hub_b,
-            length: trunk_len,
-            demand: trunk_demand,
-            plan,
-            arcs: subset.to_vec(),
-        });
-    }
-
-    // Destination branches.
-    for (idx, a) in arcs {
-        let pos = graph.position(a.dst);
-        let len = norm.distance(hub_b, pos);
-        if len <= ZERO_LEN {
-            continue;
+        let arcs: Vec<_> = subset
+            .iter()
+            .map(|&i| (i, graph.arc(ArcId(i as u32))))
+            .collect();
+        let trunk_demand: Bandwidth = arcs.iter().map(|(_, a)| a.bandwidth).sum();
+        // Hub placement with per-length price weights.
+        let trunk_rate = cache
+            .effective_rate(library, trunk_demand)
+            .ok_or(InfeasibleReason::UnroutableDemand)?;
+        let mut sources = Vec::with_capacity(arcs.len());
+        let mut sinks = Vec::with_capacity(arcs.len());
+        for (_, a) in &arcs {
+            let rate = cache
+                .effective_rate(library, a.bandwidth)
+                .ok_or(InfeasibleReason::UnroutableDemand)?;
+            sources.push((graph.position(a.src), rate));
+            sinks.push((graph.position(a.dst), rate));
         }
-        let Ok(plan) = best_plan(library, len, a.bandwidth, ArcId(*idx as u32)) else {
-            return Ok(Err(InfeasibleReason::UnroutableDemand));
-        };
-        cost += plan.cost;
-        segments.push(SegmentPlan {
-            from: Endpoint::HubB,
-            to: Endpoint::Port(a.dst),
-            from_pos: hub_b,
-            to_pos: pos,
-            length: len,
-            demand: a.bandwidth,
-            plan,
-            arcs: vec![*idx],
-        });
+        Ok(Merge {
+            graph,
+            library,
+            subset,
+            hubs,
+            arcs,
+            trunk_demand,
+            trunk_rate,
+            sources,
+            sinks,
+        })
     }
 
-    // Latency extension: a member arc's end-to-end hops are the sum over
-    // the segments that carry it; exceeding its bound disqualifies the
-    // whole merging (we do not re-plan segments under tighter budgets).
-    for (idx, a) in arcs {
-        if let Some(limit) = a.max_hops {
-            let hops: u32 = segments
-                .iter()
-                .filter(|s| s.arcs.contains(idx))
-                .map(|s| s.plan.hops)
-                .sum();
-            if hops > limit {
-                return Ok(Err(InfeasibleReason::HopLimitExceeded));
+    /// The dumbbell's two-hub solve, warm-started when `warm`.
+    fn place(&self, warm: bool) -> TwoHubSolution {
+        let problem = TwoHubProblem::new(self.sources.clone(), self.sinks.clone(), self.trunk_rate);
+        let norm = self.graph.norm();
+        let sol = if warm {
+            problem.solve_warm(norm)
+        } else {
+            problem.solve(norm)
+        };
+        if ccs_obs::enabled() {
+            ccs_obs::counter("placement.twohub_solves", 1);
+            ccs_obs::counter("placement.twohub_iterations", sol.iterations as u64);
+            ccs_obs::gauge("placement.twohub_residual", sol.residual);
+        }
+        sol
+    }
+
+    /// The star: one shared hub at the Weber point of every terminal.
+    /// A single switch can realize it; a co-located mux/demux pair is
+    /// the fallback when the switch is absent or pricier.
+    fn star(&self) -> Result<Result<Candidate, InfeasibleReason>, SynthesisError> {
+        let anchors: Vec<(Point2, f64)> = self.sources.iter().chain(&self.sinks).copied().collect();
+        let hub = WeberProblem::new(anchors).solve(self.graph.norm());
+        ccs_obs::counter("placement.weber_solves", 1);
+        let (hw, node_cost) = self.hubs.star().expect("checked in Merge::new");
+        self.build(hub, hub, node_cost, hw)
+    }
+
+    /// Prices one concrete merge topology; `Err(reason)` when some
+    /// stretch cannot be implemented with this library or a hop bound
+    /// is exceeded.
+    fn build(
+        &self,
+        hub_a: Point2,
+        hub_b: Point2,
+        node_cost: f64,
+        hub_hardware: HubHardware,
+    ) -> Result<Result<Candidate, InfeasibleReason>, SynthesisError> {
+        let Merge {
+            graph,
+            library,
+            subset,
+            ref arcs,
+            trunk_demand,
+            ..
+        } = *self;
+        let norm = graph.norm();
+        let mut segments = Vec::new();
+        let mut cost = node_cost;
+
+        // Source branches.
+        for (idx, a) in arcs {
+            let pos = graph.position(a.src);
+            let len = norm.distance(pos, hub_a);
+            if len <= ZERO_LEN {
+                continue;
+            }
+            let Ok(plan) = best_plan(library, len, a.bandwidth, ArcId(*idx as u32)) else {
+                return Ok(Err(InfeasibleReason::UnroutableDemand));
+            };
+            cost += plan.cost;
+            segments.push(SegmentPlan {
+                from: Endpoint::Port(a.src),
+                to: Endpoint::HubA,
+                from_pos: pos,
+                to_pos: hub_a,
+                length: len,
+                demand: a.bandwidth,
+                plan,
+                arcs: vec![*idx],
+            });
+        }
+
+        // Common path (trunk). A star topology has none by construction.
+        let trunk_len = norm.distance(hub_a, hub_b);
+        if trunk_len > ZERO_LEN {
+            let Ok(plan) = best_plan(library, trunk_len, trunk_demand, ArcId(subset[0] as u32))
+            else {
+                return Ok(Err(InfeasibleReason::UnroutableDemand));
+            };
+            cost += plan.cost;
+            segments.push(SegmentPlan {
+                from: Endpoint::HubA,
+                to: Endpoint::HubB,
+                from_pos: hub_a,
+                to_pos: hub_b,
+                length: trunk_len,
+                demand: trunk_demand,
+                plan,
+                arcs: subset.to_vec(),
+            });
+        }
+
+        // Destination branches.
+        for (idx, a) in arcs {
+            let pos = graph.position(a.dst);
+            let len = norm.distance(hub_b, pos);
+            if len <= ZERO_LEN {
+                continue;
+            }
+            let Ok(plan) = best_plan(library, len, a.bandwidth, ArcId(*idx as u32)) else {
+                return Ok(Err(InfeasibleReason::UnroutableDemand));
+            };
+            cost += plan.cost;
+            segments.push(SegmentPlan {
+                from: Endpoint::HubB,
+                to: Endpoint::Port(a.dst),
+                from_pos: hub_b,
+                to_pos: pos,
+                length: len,
+                demand: a.bandwidth,
+                plan,
+                arcs: vec![*idx],
+            });
+        }
+
+        // Latency extension: a member arc's end-to-end hops are the sum over
+        // the segments that carry it; exceeding its bound disqualifies the
+        // whole merging (we do not re-plan segments under tighter budgets).
+        for (idx, a) in arcs {
+            if let Some(limit) = a.max_hops {
+                let hops: u32 = segments
+                    .iter()
+                    .filter(|s| s.arcs.contains(idx))
+                    .map(|s| s.plan.hops)
+                    .sum();
+                if hops > limit {
+                    return Ok(Err(InfeasibleReason::HopLimitExceeded));
+                }
             }
         }
-    }
 
-    Ok(Ok(Candidate {
-        arcs: subset.to_vec(),
-        kind: CandidateKind::Merging { k: subset.len() },
-        hub_a: Some(hub_a),
-        hub_b: Some(hub_b),
-        segments,
-        hub_hardware,
-        node_cost,
-        cost,
-    }))
+        Ok(Ok(Candidate {
+            arcs: subset.to_vec(),
+            kind: CandidateKind::Merging { k: subset.len() },
+            hub_a: Some(hub_a),
+            hub_b: Some(hub_b),
+            segments,
+            hub_hardware,
+            node_cost,
+            cost,
+        }))
+    }
 }
 
 #[cfg(test)]
@@ -942,7 +1048,7 @@ mod tests {
         let cache = PlacementCache::new();
         for subset in [vec![0, 1], vec![0, 2], vec![1, 2], vec![0, 1, 2]] {
             let lb = merge_cost_lower_bound(&g, &lib, &subset, &cache);
-            let c = merge_candidate_cached(&g, &lib, &subset, &cache)
+            let c = merge_candidate_explained(&g, &lib, &subset, &cache)
                 .unwrap()
                 .unwrap();
             assert!(

@@ -13,7 +13,9 @@
 //!    be dropped exactly) — subsets whose cheap geometric lower bound
 //!    ([`crate::placement::merge_cost_lower_bound`]) already reaches the
 //!    dominance threshold skip the solve outright
-//!    ([`MergeConfig::lb_gate`]);
+//!    ([`MergeConfig::lb_gate`]), and on Euclidean instances a certified
+//!    bound from a cheap warm-started solve proves most of the rest
+//!    dominated before the exact (cold) solve would run;
 //! 5. weighted unate covering over all candidates ([`crate::cover`]);
 //! 6. assembly of the final implementation graph
 //!    ([`crate::implementation`]).
@@ -22,12 +24,12 @@ use crate::constraint::{Channel, ConstraintGraph, Port, PortId};
 use crate::cover::{select_seeded_on, CoverStrategy};
 use crate::error::SynthesisError;
 use crate::implementation::ImplementationGraph;
-use crate::library::{Library, NodeKind};
+use crate::library::Library;
 use crate::matrices::DistanceMatrices;
 use crate::merging::{enumerate_with, MergeConfig, MergeStats};
 use crate::placement::{
-    merge_candidate_explained, merge_cost_lower_bound, point_to_point_candidate, Candidate,
-    InfeasibleReason, PlacementCache,
+    merge_candidate_explained, merge_cost_lower_bound, merge_dominated_warm,
+    point_to_point_candidate, Candidate, HubOffer, InfeasibleReason, PlacementCache,
 };
 use crate::units::Bandwidth;
 use ccs_exec::{CancelToken, Executor};
@@ -351,11 +353,25 @@ impl<'a> Synthesizer<'a> {
                         return Ok((Verdict::Gated { lb, member_sum }, false));
                     }
                 }
+                // Warm certificate: a certified lower bound from a cheap
+                // warm-started solve proves dominance; anything else falls
+                // through to the cold solve, whose result alone is used.
+                if !keep_dominated {
+                    if let Some(cost) = merge_dominated_warm(graph, library, s, cache, threshold) {
+                        let verdict = Verdict::Dominated {
+                            cost,
+                            member_sum,
+                            warm: true,
+                        };
+                        return Ok((verdict, false));
+                    }
+                }
                 let verdict = match merge_candidate_explained(graph, library, s, cache)? {
                     Err(reason) => Verdict::Infeasible(reason),
                     Ok(c) if !keep_dominated && c.cost >= threshold => Verdict::Dominated {
                         cost: c.cost,
                         member_sum,
+                        warm: false,
                     },
                     Ok(candidate) => Verdict::Kept {
                         candidate,
@@ -391,18 +407,8 @@ impl<'a> Synthesizer<'a> {
                 candidates.push(candidate);
             }
         }
-        // Each un-gated subset costs one Weber solve plus, when mux and
-        // demux are both on offer, one two-hub solve — a library-global
-        // fact, so the skip count is deterministic.
-        let has_muxdemux = library.node_cost(NodeKind::Mux).is_some()
-            && library.node_cost(NodeKind::Demux).is_some();
-        let has_switch = library.node_cost(NodeKind::Switch).is_some();
-        let solves_per_subset: u64 = if has_muxdemux {
-            2
-        } else {
-            u64::from(has_switch)
-        };
-        placement.solves_skipped = placement.lb_gated * solves_per_subset;
+        // A library-global fact, so the skip count is deterministic.
+        placement.solves_skipped = placement.lb_gated * HubOffer::of(library).solves_per_subset();
         phases.push(phase.finish());
         record(&mut counters, placement.counters());
         if warm {
@@ -555,8 +561,14 @@ enum Verdict {
     Gated { lb: f64, member_sum: f64 },
     /// Structurally infeasible with this library.
     Infeasible(InfeasibleReason),
-    /// Solved, but never cheaper than its members' p2p sum.
-    Dominated { cost: f64, member_sum: f64 },
+    /// Solved, but never cheaper than its members' p2p sum; `warm` when
+    /// the warm certificate decided it (`cost` is then its certified
+    /// lower bound on the merged cost).
+    Dominated {
+        cost: f64,
+        member_sum: f64,
+        warm: bool,
+    },
     /// Solved and kept as a covering column.
     Kept {
         candidate: Candidate,
@@ -581,11 +593,19 @@ impl Verdict {
                 0.0,
                 format!("k={k},{}", reason.id()),
             ),
-            Verdict::Dominated { cost, member_sum } => (
+            Verdict::Dominated {
+                cost,
+                member_sum,
+                warm,
+            } => (
                 Cause::PlacementDominated,
                 *cost,
                 *member_sum,
-                format!("k={k}"),
+                if *warm {
+                    format!("k={k},warm")
+                } else {
+                    format!("k={k}")
+                },
             ),
             Verdict::Kept {
                 candidate,
@@ -620,17 +640,27 @@ pub struct PlacementStats {
     /// Weber/two-hub solver invocations avoided by the lower-bound gate
     /// (`lb_gated ×` solves one subset costs with this library).
     pub solves_skipped: u64,
+    /// Subsets the warm certificate settled as dominated without a cold
+    /// solve (also counted in
+    /// [`dominated_dropped`](Self::dominated_dropped)).
+    pub warm_certified: u64,
+    /// Subsets whose verdict came from the cold solve (infeasible,
+    /// cold-dominated or kept). `lb_gated + warm_certified +
+    /// cold_solves` is the surviving subset count.
+    pub cold_solves: u64,
 }
 
 impl PlacementStats {
     /// The tallies under their metric names: the one list the recorder
     /// stream and [`SynthesisStats::counters`] both derive from.
-    pub fn counters(&self) -> [(&'static str, u64); 4] {
+    pub fn counters(&self) -> [(&'static str, u64); 6] {
         [
             ("placement.infeasible_merges", self.infeasible_merges),
             ("placement.dominated_dropped", self.dominated_dropped),
             ("placement.lb_gated", self.lb_gated),
             ("placement.solves_skipped", self.solves_skipped),
+            ("placement.warm_certified", self.warm_certified),
+            ("placement.cold_solves", self.cold_solves),
         ]
     }
 
@@ -638,9 +668,19 @@ impl PlacementStats {
     fn count(&mut self, verdict: &Verdict) {
         match verdict {
             Verdict::Gated { .. } => self.lb_gated += 1,
-            Verdict::Infeasible(_) => self.infeasible_merges += 1,
-            Verdict::Dominated { .. } => self.dominated_dropped += 1,
-            Verdict::Kept { .. } => {}
+            Verdict::Dominated { warm: true, .. } => {
+                self.dominated_dropped += 1;
+                self.warm_certified += 1;
+            }
+            Verdict::Infeasible(_) => {
+                self.infeasible_merges += 1;
+                self.cold_solves += 1;
+            }
+            Verdict::Dominated { warm: false, .. } => {
+                self.dominated_dropped += 1;
+                self.cold_solves += 1;
+            }
+            Verdict::Kept { .. } => self.cold_solves += 1,
         }
     }
 }

@@ -23,6 +23,11 @@ use crate::{Norm, Point2};
 const TWOHUB_TOL: f64 = 1e-9;
 /// Maximum alternating sweeps; convergence is typically < 40.
 const TWOHUB_MAX_ITER: usize = 80;
+/// Weiszfeld steps per hub per sweep of the warm alternation. Starting
+/// from the current hub, a few steps track the moving trunk anchor; a
+/// full descent per sweep (as the cold solve runs) bought no accuracy
+/// on seeded WANs and cost ~1.8× the placement time.
+const WARM_INNER_STEPS: usize = 8;
 
 /// A two-hub (mux/demux) placement problem.
 ///
@@ -148,7 +153,7 @@ impl TwoHubProblem {
     /// optimum polished by a joint pattern search.
     pub fn solve(&self, norm: Norm) -> TwoHubSolution {
         match norm {
-            Norm::Euclidean => self.solve_euclidean(),
+            Norm::Euclidean => self.solve_euclidean(false),
             Norm::Manhattan => self.solve_manhattan(),
             Norm::Chebyshev => self.solve_chebyshev(),
         }
@@ -208,19 +213,42 @@ impl TwoHubProblem {
         }
     }
 
-    fn solve_euclidean(&self) -> TwoHubSolution {
+    /// [`solve`](Self::solve), but each Weber step of the Euclidean
+    /// alternation starts from the current hub instead of restarting
+    /// from its anchors' centroid, and runs a few Weiszfeld steps
+    /// rather than a full descent. Between two sweeps only one anchor
+    /// (the other hub) moves, so this takes a fraction of the work.
+    ///
+    /// It aims at the same convex minimum but does not reproduce
+    /// `solve`'s bits, nor is its cost bounded against `solve`'s: where
+    /// both stall at a kink (a hub on a terminal, a collapsed trunk)
+    /// they can end 1e-5 to 1e-2 apart, in either direction. Use it
+    /// where any near-optimal pair will do, e.g. as the point of
+    /// [`euclidean_lower_bound`](Self::euclidean_lower_bound).
+    /// Manhattan and Chebyshev are exact either way, so there this is
+    /// `solve`.
+    pub fn solve_warm(&self, norm: Norm) -> TwoHubSolution {
+        match norm {
+            Norm::Euclidean => self.solve_euclidean(true),
+            _ => self.solve(norm),
+        }
+    }
+
+    fn solve_euclidean(&self, warm: bool) -> TwoHubSolution {
         // The objective is jointly convex in (hub_a, hub_b) — every term
         // is a nonnegative multiple of a norm of an affine expression —
         // so alternating descent from any start reaches the global basin,
         // and the joint pattern-search polish crosses the nonsmooth stall
         // points (a hub pinned on an anchor, a collapsed trunk) that
         // alternation cannot. One start therefore suffices.
-        let mut sol = self.alternate_from(centroid(&self.sources), centroid(&self.sinks));
+        let mut sol = self.alternate_from(centroid(&self.sources), centroid(&self.sinks), warm);
         self.polish(&mut sol, Norm::Euclidean);
         sol
     }
 
-    fn alternate_from(&self, mut hub_a: Point2, mut hub_b: Point2) -> TwoHubSolution {
+    /// Alternating Weber sweeps from `(hub_a, hub_b)`; with `warm`, each
+    /// inner Weiszfeld starts from the hub it replaces.
+    fn alternate_from(&self, mut hub_a: Point2, mut hub_b: Point2, warm: bool) -> TwoHubSolution {
         let norm = Norm::Euclidean;
         let mut cost = self.cost(hub_a, hub_b, norm);
         let mut iterations = 0;
@@ -234,13 +262,20 @@ impl TwoHubProblem {
         a_anchors.push((hub_b, self.trunk_weight));
         let mut b_anchors = self.sinks.clone();
         b_anchors.push((hub_a, self.trunk_weight));
+        let weber = |anchors: &[(Point2, f64)], hub: Point2| {
+            if warm {
+                crate::weber::weiszfeld_iterate(anchors, hub, WARM_INNER_STEPS)
+            } else {
+                crate::weber::weiszfeld_fast(anchors, 200)
+            }
+        };
         for it in 0..TWOHUB_MAX_ITER {
             iterations = it + 1;
             *a_anchors.last_mut().expect("sources nonempty") = (hub_b, self.trunk_weight);
-            hub_a = crate::weber::weiszfeld_fast(&a_anchors, 200);
+            hub_a = weber(&a_anchors, hub_a);
 
             *b_anchors.last_mut().expect("sinks nonempty") = (hub_a, self.trunk_weight);
-            hub_b = crate::weber::weiszfeld_fast(&b_anchors, 200);
+            hub_b = weber(&b_anchors, hub_b);
 
             let next = self.cost(hub_a, hub_b, norm);
             residual = (cost - next).max(0.0);
@@ -257,6 +292,135 @@ impl TwoHubProblem {
             iterations,
             residual,
         }
+    }
+
+    /// A certified lower bound on the Euclidean optimum `min f` over all
+    /// hub pairs, from weak duality at the hub pair `(hub_a, hub_b)`:
+    /// valid for any pair, and tight when the pair is near-optimal.
+    ///
+    /// Write `f = Σₖ wₖ‖rₖ‖` with residuals `rₖ` affine in the hubs
+    /// (`A − uᵢ`, `A − B`, `B − vⱼ`). For any dual vectors `‖yₖ‖ ≤ wₖ`,
+    /// `wₖ‖rₖ(x*)‖ ≥ ⟨yₖ, rₖ(x*)⟩`, and summing gives
+    ///
+    /// ```text
+    /// f(x*) ≥ Σₖ ⟨yₖ, rₖ(x)⟩ + ⟨G, x* − x⟩ ≥ Σₖ ⟨yₖ, rₖ(x)⟩ − ‖G‖·D
+    /// ```
+    ///
+    /// where `G = (G_A, G_B)` sums the duals each hub sees (the trunk's
+    /// enters A as `+y` and B as `−y`) and `D` bounds `‖x* − x‖`.
+    /// Projecting both hubs onto the convex hull of the terminals never
+    /// raises `f`, so some optimum lies in hull × hull and
+    /// `D² = D_A² + D_B²`, with `D_h` the largest distance from hub `h`
+    /// to a terminal.
+    ///
+    /// A term farther than `δ` from its kink takes the gradient
+    /// direction `yₖ = wₖ rₖ/‖rₖ‖`, so `⟨yₖ, rₖ⟩ = wₖ‖rₖ‖`. The others
+    /// (a hub on a terminal, a collapsed trunk) are *free*: their duals
+    /// are chosen to shrink `‖G‖`, giving up at most `2wₖ‖rₖ‖` each. The
+    /// free terminal terms of one hub together span the ball of radius
+    /// `Σ wₖ`, so only the trunk's dual needs a search. The best bound
+    /// over `δ = 0` and each term's length is returned.
+    pub fn euclidean_lower_bound(&self, hub_a: Point2, hub_b: Point2) -> f64 {
+        let norm = Norm::Euclidean;
+        let reach_of = |hub: Point2| {
+            self.sources
+                .iter()
+                .chain(&self.sinks)
+                .map(|&(p, _)| norm.distance(p, hub))
+                .fold(0.0, f64::max)
+        };
+        let (d_a, d_b) = (reach_of(hub_a), reach_of(hub_b));
+        let reach = (d_a * d_a + d_b * d_b).sqrt();
+        let trunk = hub_a - hub_b;
+        let q = self.trunk_weight;
+        // `v` less the nearest point of the ball of radius `c`.
+        let shrink = |v: Point2, c: f64| {
+            let len = v.len();
+            if len > c {
+                v * (1.0 - c / len)
+            } else {
+                Point2::ORIGIN
+            }
+        };
+        // The nearest point to `y` of the disk around `centre`.
+        let project = |y: Point2, centre: Point2, radius: f64| y - shrink(y - centre, radius);
+        // Candidate radii: 0 (every term smooth), then each term's
+        // length, freeing that term and every nearer one.
+        let lengths = self
+            .sources
+            .iter()
+            .map(|&(u, _)| (hub_a - u).len())
+            .chain(self.sinks.iter().map(|&(v, _)| (hub_b - v).len()))
+            .chain([trunk.len()]);
+        let mut best = f64::NEG_INFINITY;
+        for delta in [0.0].into_iter().chain(lengths) {
+            // Smooth terms add their value and dual to `value` and the
+            // hub's sum; free terms add their weight to the hub's
+            // capacity and `w·r` to its moment.
+            let mut value = 0.0;
+            let (mut a0, mut b0) = (Point2::ORIGIN, Point2::ORIGIN);
+            let (mut cap_a, mut cap_b) = (0.0, 0.0);
+            let (mut mom_a, mut mom_b) = (Point2::ORIGIN, Point2::ORIGIN);
+            let mut term = |r: Point2, w: f64, g: &mut Point2, cap: &mut f64, mom: &mut Point2| {
+                let len = r.len();
+                if len > delta {
+                    value += w * len;
+                    *g = *g + r * (w / len);
+                } else {
+                    *cap += w;
+                    *mom = *mom + r * w;
+                }
+            };
+            for &(u, w) in &self.sources {
+                term(hub_a - u, w, &mut a0, &mut cap_a, &mut mom_a);
+            }
+            for &(v, w) in &self.sinks {
+                term(hub_b - v, w, &mut b0, &mut cap_b, &mut mom_b);
+            }
+            let len = trunk.len();
+            let trunk_free = len <= delta;
+            if !trunk_free {
+                value += q * len;
+                let y = trunk * (q / len);
+                a0 = a0 + y;
+                b0 = b0 - y;
+            }
+            // The bound for a free trunk dual `y`: each hub's free terminal
+            // duals absorb what they can of its sum, `Y = −clip(sum)`,
+            // split in proportion to weight (`yₖ = Y·wₖ/cap`, inside each
+            // ball), which adds `⟨Y, moment⟩/cap`; the rest is `G`.
+            let bound = |y: Point2| {
+                let mut freed = y.dot(trunk);
+                let mut g2 = 0.0;
+                for (sum, cap, mom) in [(a0 + y, cap_a, mom_a), (b0 - y, cap_b, mom_b)] {
+                    let g = shrink(sum, cap);
+                    if cap > 0.0 {
+                        freed += (g - sum).dot(mom) / cap;
+                    }
+                    g2 += g.len2();
+                }
+                value + freed - g2.sqrt() * reach
+            };
+            best = best.max(bound(Point2::ORIGIN));
+            if trunk_free {
+                // G vanishes iff y lies in all three disks: ‖a0 + y‖ ≤
+                // cap_a, ‖b0 − y‖ ≤ cap_b and ‖y‖ ≤ q. Alternating
+                // projections find such a y when one exists; any y
+                // inside the trunk's disk gives a valid bound.
+                let mut y = Point2::ORIGIN;
+                for _ in 0..64 {
+                    let last = y;
+                    y = project(y, -a0, cap_a);
+                    y = project(y, b0, cap_b);
+                    y = project(y, Point2::ORIGIN, q);
+                    if y == last {
+                        break;
+                    }
+                }
+                best = best.max(bound(y));
+            }
+        }
+        best
     }
 
     /// Joint pattern-search polish: escapes the rare stall points of
@@ -464,6 +628,39 @@ mod tests {
     }
 
     #[test]
+    fn lower_bound_is_tight_at_the_warm_optimum() {
+        // A smooth optimum (the doc example's cluster, spread out) and a
+        // kinked one (the demux on the shared destination): either way
+        // the bound at the warm hubs is within 1e-6 of their cost.
+        let dest = Point2::new(100.0, 2.0);
+        for sinks in [
+            vec![
+                (Point2::new(90.0, -5.0), 2.0),
+                (Point2::new(95.0, 9.0), 2.0),
+            ],
+            vec![(dest, 2.0), (dest, 2.0), (dest, 2.0)],
+        ] {
+            let p = TwoHubProblem::new(
+                vec![
+                    (Point2::new(0.0, 0.0), 2.0),
+                    (Point2::new(0.0, 4.0), 2.0),
+                    (Point2::new(2.0, 2.0), 2.0),
+                ],
+                sinks,
+                3.0,
+            );
+            let warm = p.solve_warm(Norm::Euclidean);
+            let lb = p.euclidean_lower_bound(warm.hub_a, warm.hub_b);
+            assert!(lb <= warm.cost, "bound {lb} above {}", warm.cost);
+            assert!(
+                lb >= warm.cost * (1.0 - 1e-6),
+                "bound {lb} vs {}",
+                warm.cost
+            );
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "at least one source")]
     fn empty_sources_panic() {
         let _ = TwoHubProblem::new(vec![], vec![(Point2::ORIGIN, 1.0)], 1.0);
@@ -521,6 +718,34 @@ mod tests {
             let sol = p.solve(Norm::Euclidean);
             let recomputed = p.cost(sol.hub_a, sol.hub_b, Norm::Euclidean);
             prop_assert!((sol.cost - recomputed).abs() < 1e-9);
+        }
+
+        /// The certified bound never exceeds the cost of any hub pair:
+        /// the cold and warm solutions, or an arbitrary pair — taken
+        /// at an arbitrary pair too, since its validity must not rest
+        /// on the point being near-optimal. Placement's warm dominance
+        /// proof rests on exactly this.
+        #[test]
+        fn lower_bound_never_exceeds_a_solution(
+            sources in terminals(6),
+            sinks in terminals(6),
+            trunk in 0.0..8.0f64,
+            a in (-40.0..40.0f64, -40.0..40.0f64),
+            b in (-40.0..40.0f64, -40.0..40.0f64),
+        ) {
+            let p = TwoHubProblem::new(sources, sinks, trunk);
+            let (a, b) = (Point2::new(a.0, a.1), Point2::new(b.0, b.1));
+            let cold = p.solve(Norm::Euclidean);
+            let warm = p.solve_warm(Norm::Euclidean);
+            let least = cold.cost.min(warm.cost).min(p.cost(a, b, Norm::Euclidean));
+            for (x, y) in [(cold.hub_a, cold.hub_b), (warm.hub_a, warm.hub_b), (a, b)] {
+                let lb = p.euclidean_lower_bound(x, y);
+                // Rounding at an exact optimum can lift it ~1e-16.
+                prop_assert!(lb <= least * (1.0 + 1e-12), "bound {lb} above cost {least}");
+            }
+            for norm in [Norm::Manhattan, Norm::Chebyshev] {
+                prop_assert_eq!(p.solve_warm(norm), p.solve(norm));
+            }
         }
 
         /// Manhattan: the exact solver is never worse than alternating

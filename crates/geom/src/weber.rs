@@ -187,7 +187,17 @@ pub(crate) fn weiszfeld_fast(anchors: &[(Point2, f64)], max_iter: usize) -> Poin
     weiszfeld_iterate(anchors, anchors_centroid(anchors), max_iter)
 }
 
-fn weiszfeld_iterate(active: &[(Point2, f64)], mut y: Point2, max_iter: usize) -> Point2 {
+/// Weiszfeld iteration from the start point `y` — the warm entry beside
+/// [`weiszfeld_fast`], which always restarts from the centroid. The
+/// two-hub solver's warm alternation passes the current hub, so a call
+/// after one anchor moved a little takes a few steps instead of a full
+/// descent. Zero-weight anchors are inert here: the Vardi–Zhang branch
+/// adds their weight (0) and the mean skips them.
+pub(crate) fn weiszfeld_iterate(
+    active: &[(Point2, f64)],
+    mut y: Point2,
+    max_iter: usize,
+) -> Point2 {
     for _ in 0..max_iter {
         let next = weiszfeld_step(active, y);
         if (next - y).len() < WEISZFELD_TOL {

@@ -13,7 +13,9 @@
 //! │   ├── pairs
 //! │   └── k3, k4, ...
 //! ├── placement
-//! │   └── solve_merge     (once per surviving subset)
+//! │   ├── lb_gate         (once per surviving subset)
+//! │   ├── warm_certify    (once per Euclidean subset past the gate)
+//! │   └── solve_merge     (once per cold solve)
 //! └── covering
 //!     └── select
 //! ```

@@ -997,12 +997,17 @@ fn gen(rest: &[&str]) -> Result<String, String> {
             if let Some(v) = take("nodes-per-cluster") {
                 cfg.nodes_per_cluster = v as usize;
             }
-            gen_at_least(
+            gen_within(
                 kind,
                 &[
-                    ("channels", cfg.channels, 1),
-                    ("clusters", cfg.clusters, 1),
-                    ("nodes-per-cluster", cfg.nodes_per_cluster, 1),
+                    ("channels", cfg.channels, 1, GEN_MAX_ITEMS),
+                    ("clusters", cfg.clusters, 1, GEN_MAX_CLUSTERS),
+                    (
+                        "nodes-per-cluster",
+                        cfg.nodes_per_cluster,
+                        1,
+                        GEN_MAX_CLUSTERS,
+                    ),
                 ],
             )?;
             if cfg.clusters == 1 && cfg.nodes_per_cluster == 1 {
@@ -1024,9 +1029,12 @@ fn gen(rest: &[&str]) -> Result<String, String> {
             if let Some(v) = take("modules") {
                 cfg.modules = v as usize;
             }
-            gen_at_least(
+            gen_within(
                 kind,
-                &[("channels", cfg.channels, 1), ("modules", cfg.modules, 2)],
+                &[
+                    ("channels", cfg.channels, 1, GEN_MAX_ITEMS),
+                    ("modules", cfg.modules, 2, GEN_MAX_ITEMS),
+                ],
             )?;
             ccs_gen::random::soc_floorplan(&cfg)
         }
@@ -1038,15 +1046,31 @@ fn gen(rest: &[&str]) -> Result<String, String> {
     Ok(io::instance_to_string(&graph))
 }
 
-/// Rejects the first `(flag, value, min)` whose value is below `min`:
-/// the generators assert these bounds, so they are checked up front.
-fn gen_at_least(kind: &str, flags: &[(&str, usize, usize)]) -> Result<(), String> {
-    match flags.iter().find(|&&(_, value, min)| value < min) {
-        Some((flag, value, min)) => Err(format!(
-            "ccs gen {kind}: --{flag} must be at least {min}, got {value}"
-        )),
-        None => Ok(()),
+/// Upper bound on `ccs gen`'s `--channels` and `--modules`: far above
+/// any instance synthesis can finish, low enough that generation
+/// allocates a few megabytes at most.
+const GEN_MAX_ITEMS: usize = 10_000;
+/// Upper bound on `--clusters` and `--nodes-per-cluster`, so the WAN
+/// node table stays at most a million entries.
+const GEN_MAX_CLUSTERS: usize = 1_000;
+
+/// Rejects the first `(flag, value, min, max)` whose value lies outside
+/// `min..=max`, before any allocation: the generators assert the lower
+/// bounds, and a huge size would allocate without limit.
+fn gen_within(kind: &str, flags: &[(&str, usize, usize, usize)]) -> Result<(), String> {
+    for &(flag, value, min, max) in flags {
+        if value < min {
+            return Err(format!(
+                "ccs gen {kind}: --{flag} must be at least {min}, got {value}"
+            ));
+        }
+        if value > max {
+            return Err(format!(
+                "ccs gen {kind}: --{flag} must be at most {max}, got {value}"
+            ));
+        }
     }
+    Ok(())
 }
 
 fn serve_cmd(rest: &[&str]) -> Result<String, String> {

@@ -185,6 +185,11 @@ fn describe(e: &DecisionEvent) -> String {
                 .find(|t| !t.contains('='))
                 .unwrap_or("unknown reason")
         ),
+        Cause::PlacementDominated if e.detail.split(',').any(|t| t == "warm") => format!(
+            "placement.dominated{k}: dominated (warm-certified): a certified lower bound {:.4} \
+             on the merged cost did not beat the members' sum {:.4}, so no cold solve ran",
+            e.cost, e.bound
+        ),
         Cause::PlacementDominated => format!(
             "placement.dominated{k}: merged cost {:.4} did not beat the members' sum {:.4}",
             e.cost, e.bound
@@ -340,6 +345,26 @@ mod tests {
             "index=0".to_string(),
         ));
         l
+    }
+
+    #[test]
+    fn dominated_events_say_how_they_were_decided() {
+        let mut l = sample_ledger();
+        for (arcs, detail) in [(vec![1, 2], "k=2,warm"), (vec![0, 2], "k=2")] {
+            l.insert(DecisionEvent::new(
+                Cause::PlacementDominated,
+                arcs,
+                120.0,
+                100.0,
+                detail.to_string(),
+            ));
+        }
+        let warm = explain(&l, &Query::Candidate(vec![1, 2])).unwrap();
+        assert!(warm.contains("(k=2): dominated (warm-certified)"), "{warm}");
+        assert!(warm.contains("lower bound 120.0000"), "{warm}");
+        let cold = explain(&l, &Query::Candidate(vec![0, 2])).unwrap();
+        assert!(cold.contains("merged cost 120.0000 did not beat"), "{cold}");
+        assert!(!cold.contains("warm"), "{cold}");
     }
 
     #[test]

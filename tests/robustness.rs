@@ -353,6 +353,14 @@ fn gen_rejects_degenerate_sizes_without_panicking() {
             "wan --clusters 1 --nodes-per-cluster 1",
             "--nodes-per-cluster",
         ),
+        // Above the caps: rejected before the generator allocates.
+        ("wan --channels 10001", "--channels"),
+        ("wan --channels 18446744073709551615", "--channels"),
+        ("wan --clusters 1001", "--clusters"),
+        ("wan --nodes-per-cluster 1001", "--nodes-per-cluster"),
+        ("soc --channels 10001", "--channels"),
+        ("soc --modules 10001", "--modules"),
+        ("soc --modules 18446744073709551615", "--modules"),
     ] {
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_ccs"))
             .arg("gen")
@@ -363,5 +371,6 @@ fn gen_rejects_degenerate_sizes_without_panicking() {
         assert_eq!(out.status.code(), Some(1), "gen {args}: {stderr}");
         assert!(stderr.contains(flag), "gen {args}: {stderr}");
         assert!(!stderr.contains("panicked"), "gen {args}: {stderr}");
+        assert!(out.stdout.is_empty(), "gen {args} generated output");
     }
 }
